@@ -46,6 +46,11 @@ void fill(DataKind kind, std::vector<double>& buf, std::size_t elems,
   }
 }
 
+/// Device bytes stored so far (the trace counter; tracing is on in main()).
+std::uint64_t device_bytes() {
+  return pmemcpy::trace::counter(pmemcpy::trace::Counter::kBytesWritten);
+}
+
 struct Result {
   double write_s = 0, read_s = 0;
   std::uint64_t device_bytes = 0;
@@ -58,7 +63,7 @@ Result run(FilterId filter, DataKind kind, const wk::Decomposition& dec,
   // Worst case: RLE on incompressible data doubles the payload.
   auto node = make_node(IoLib::kPmcpyA, bytes * 2 + (64ull << 20));
   Result out;
-  const auto before = node->device().bytes_written();
+  const auto before = device_bytes();
   auto wr = pmemcpy::par::Runtime::run(nranks, [&](pmemcpy::par::Comm& comm) {
     const Box& mine = dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
     pmemcpy::Config cfg;
@@ -77,7 +82,7 @@ Result run(FilterId filter, DataKind kind, const wk::Decomposition& dec,
     pmem.munmap();
   });
   out.write_s = wr.max_time;
-  out.device_bytes = node->device().bytes_written() - before;
+  out.device_bytes = device_bytes() - before;
   auto rd = pmemcpy::par::Runtime::run(nranks, [&](pmemcpy::par::Comm& comm) {
     const Box& mine = dec.rank_boxes[static_cast<std::size_t>(comm.rank())];
     pmemcpy::Config cfg;
@@ -98,6 +103,7 @@ Result run(FilterId filter, DataKind kind, const wk::Decomposition& dec,
 }  // namespace
 
 int main() {
+  pmemcpy::trace::set_enabled(true);
   Params p = params_from_env();
   constexpr int kProcs = 24;
   const auto dec = wk::decompose(p.elems_per_var(), kProcs);

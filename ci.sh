@@ -16,6 +16,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Library line counts (scripts/loc.sh), measured once and written next to
+# each config's audit artifacts as BENCH_loc.json.
+LOC_JSON="$(scripts/loc.sh)"
+
 run_config() {
   local name="$1"
   shift
@@ -25,6 +29,7 @@ run_config() {
   # config's lint artifact.  Any non-baselined finding fails the run.
   mkdir -p "${dir}"
   LINT_JSON="${dir}/pmemlint_report.json" scripts/lint.sh
+  echo "${LOC_JSON}" > "${dir}/BENCH_loc.json"
   echo "==== [${name}] configure ===="
   cmake -B "${dir}" -S . "$@"
   echo "==== [${name}] build ===="
@@ -81,6 +86,7 @@ run_fault_config() {
   echo "==== [fault] lint ===="
   mkdir -p "${dir}"
   LINT_JSON="${dir}/pmemlint_report.json" scripts/lint.sh
+  echo "${LOC_JSON}" > "${dir}/BENCH_loc.json"
   echo "==== [fault] configure ===="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DPMEMCPY_SANITIZE=ON -DPMEMCPY_PERSIST_CHECK=ON -DPMEMCPY_TRACE=ON

@@ -32,6 +32,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pmemcpy::obj {
@@ -342,6 +343,12 @@ class Pool {
   /// lane recovery, transaction rollback and allocator-undo recovery.
   void rollback_log(std::uint64_t header_off, std::uint64_t payload_off,
                     std::uint64_t capacity);
+  /// Run @p fn as one allocator transaction on @p stripe's undo lane inside
+  /// a checker scope named @p name: commit on return; on a throw roll the
+  /// lane back, abort the scope once and rethrow.  The one allocator unwind
+  /// path (DESIGN.md §14), defined in pool.cpp.
+  template <typename Fn>
+  void with_alloc_tx(int stripe, std::string_view name, Fn&& fn);
 
   void charge_queue_delay() const;
 

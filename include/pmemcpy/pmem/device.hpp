@@ -276,15 +276,6 @@ class Device {
   /// must have been flushed *and* fenced by now.
   void check_publish(std::size_t off, std::size_t len);
 
-  // --- statistics -------------------------------------------------------------
-
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
-  }
-  [[nodiscard]] std::uint64_t bytes_read() const noexcept {
-    return bytes_read_;
-  }
-
  private:
   void check_range(std::size_t off, std::size_t len) const;
   /// Pages of [off,len) not yet touched since the last reset; marks them.
@@ -350,7 +341,9 @@ class Device {
   /// read path can escalate a range just like a store can.
   mutable std::vector<std::pair<std::size_t, std::size_t>> sticky_bad_;
 
-  mutable std::mutex mu_;  // protects shadow_, touched_, counters, bad media
+  // Guards shadow_, touched_, bad/sticky media and the fault coins (byte
+  // traffic is counted lock-free in trace::Counter).
+  mutable std::mutex mu_;
   std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>> shadow_;
   /// Lines flushed (CLWB issued) but not yet fenced, with the line image
   /// captured at flush time: on drain() that image is what became durable,
@@ -360,8 +353,6 @@ class Device {
   std::unique_ptr<check::PersistChecker> checker_;
   std::vector<std::pair<std::size_t, std::size_t>> bad_media_;  // off, len
   std::vector<bool> touched_;  // one bit per 4 KiB page
-  std::uint64_t bytes_written_ = 0;
-  mutable std::uint64_t bytes_read_ = 0;
 };
 
 }  // namespace pmemcpy::pmem

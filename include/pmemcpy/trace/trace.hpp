@@ -13,11 +13,11 @@
 //     Spans are pure observers: they never advance the clock, so enabling
 //     tracing cannot change bench numbers or flush/fence counts.
 //
-//   * A typed counter/histogram registry.  One vocabulary (counter_name())
-//     shared by the stats exporter, `flush_audit --json` and the persist
-//     checker's exit line — the first eight counters mirror
-//     check::Report/GlobalCounters field-for-field so totals can be
-//     cross-checked against checker_report().
+//   * A typed counter/histogram registry: the one process-wide counter
+//     source.  One vocabulary (counter_name()) shared by the stats exporter
+//     and `flush_audit --json` — the first eight counters mirror
+//     check::Report field-for-field so totals can be cross-checked against
+//     checker_report().
 //
 //   * Exporters: Chrome `trace_event` JSON (chrome://tracing, Perfetto) and
 //     a compact stats JSON.  Timestamps are integer nanoseconds derived
@@ -45,8 +45,8 @@
 
 namespace pmemcpy::trace {
 
-/// Typed counters.  The first eight mirror check::GlobalCounters (same
-/// order, same JSON names) so trace totals and checker tallies are directly
+/// Typed counters.  The first eight mirror the traffic and lint fields of
+/// check::Report so trace totals and checker tallies are directly
 /// comparable; the rest absorb the counters that used to live as ad-hoc
 /// fields on Device, Pool and the engines.
 enum class Counter : int {

@@ -48,6 +48,12 @@ std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
       std::max<std::size_t>(64, opts.nbuckets / nshards);
   obj::PoolOptions popts;
   popts.map_sync = opts.map_sync;
+  // Allocator hot-path defaults (DESIGN.md §14): engines arm magazines and
+  // metadata stripes unless the caller or environment says otherwise.  Raw
+  // Pool users keep the classic fully-serialized semantics (K=0, S=1).
+  const int mag = knob_or_env(opts.magazine_size, "PMEMCPY_MAGAZINE_SIZE", 8);
+  const int stripes = knob_or_env(opts.alloc_stripes, "PMEMCPY_ALLOC_STRIPES",
+                                  8);
 
   if (leader) {
     // "The rest of the pool area" must be split up front: create_pool
@@ -65,25 +71,21 @@ std::unique_ptr<Engine> open_pool_engine(PmemNode& node,
         auto table = obj::HashTable::create(*pool, shard_buckets);
         pool->set_root(table.header_off());
       }
+      // The knobs are plain fields of the shared pool and table: set them
+      // here, once, before the barrier releases the peers that use them.
+      pool->set_expected_contenders(contenders);
+      pool->set_magazine_size(mag);
+      pool->set_alloc_stripes(std::max(1, stripes));
+      node.table_for(pool, pool->root())->set_auto_grow(opts.auto_grow);
     }
   }
   if (comm) comm->barrier();
 
   std::vector<std::unique_ptr<Engine>> shards;
   shards.reserve(nshards);
-  // Allocator hot-path defaults (DESIGN.md §14): engines arm magazines and
-  // metadata stripes unless the caller or environment says otherwise.  Raw
-  // Pool users keep the classic fully-serialized semantics (K=0, S=1).
-  const int mag = knob_or_env(opts.magazine_size, "PMEMCPY_MAGAZINE_SIZE", 8);
-  const int stripes = knob_or_env(opts.alloc_stripes, "PMEMCPY_ALLOC_STRIPES",
-                                  8);
   for (std::size_t k = 0; k < nshards; ++k) {
     auto pool = node.open_pool(shard_pool_name(opts, k, nshards), popts);
-    pool->set_expected_contenders(contenders);
-    pool->set_magazine_size(mag);
-    pool->set_alloc_stripes(std::max(1, stripes));
     auto table = node.table_for(pool, pool->root());
-    table->set_auto_grow(opts.auto_grow);
     shards.push_back(make_table_engine(std::move(pool), std::move(table)));
   }
   return make_sharded_engine(std::move(shards));

@@ -75,9 +75,6 @@ Device::Device(std::size_t capacity, bool crash_shadow)
       touched_(capacity_ / kPage, false) {
   if (checker_default_on()) {
     enable_checker();
-    // Env-driven runs (benches, checker CI config) get the process-exit
-    // counter summary; explicitly enabled test checkers stay quiet.
-    check::register_atexit_counter_dump();
   }
   // Env-driven transient-fault arming (the fault-matrix CI config).  A
   // programmatic set_fault_plan() later overrides these.
@@ -102,10 +99,9 @@ Device::Device(std::size_t capacity, bool crash_shadow)
 Device::~Device() {
   if (!checker_) return;
   const check::Report rep = checker_->report();
-  check::accumulate_global(rep);
   // Lint tallies only exist as report fields (the traffic counters are
-  // counted live); fold them into the trace registry at the same point
-  // they reach the global checker counters.
+  // counted live); fold them into the trace registry, the one counter
+  // source, as the checker retires.
   trace::count(trace::Counter::kCleanFlushes, rep.clean_flushes);
   trace::count(trace::Counter::kDuplicateFlushes, rep.duplicate_flushes);
   trace::count(trace::Counter::kEmptyFences, rep.empty_fences);
@@ -166,8 +162,6 @@ void Device::write(std::size_t off, const void* src, std::size_t len) {
                                                pm.write_total_bw),
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
 }
 
 void Device::read(std::size_t off, void* dst, std::size_t len) const {
@@ -184,8 +178,6 @@ void Device::read(std::size_t off, void* dst, std::size_t len) const {
                                               pm.read_total_bw),
             sim::Charge::kPmemRead);
   trace::count(trace::Counter::kBytesRead, len);
-  std::lock_guard lk(mu_);
-  bytes_read_ += len;
 }
 
 void Device::fill(std::size_t off, std::size_t len, std::byte value) {
@@ -200,8 +192,6 @@ void Device::fill(std::size_t off, std::size_t len, std::byte value) {
                                                pm.write_total_bw),
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
 }
 
 void Device::persist(std::size_t off, std::size_t len) {
@@ -440,8 +430,6 @@ void Device::charge_dax_write(std::size_t off, std::size_t len,
   c.advance(m.pmem.write_latency + static_cast<double>(len) / bw,
             sim::Charge::kPmemWrite);
   trace::count(trace::Counter::kBytesWritten, len);
-  std::lock_guard lk(mu_);
-  bytes_written_ += len;
 }
 
 void Device::charge_dax_read(std::size_t len, bool map_sync) const {
@@ -452,8 +440,6 @@ void Device::charge_dax_read(std::size_t len, bool map_sync) const {
   c.advance(pm.read_latency + static_cast<double>(len) / bw,
             sim::Charge::kPmemRead);
   trace::count(trace::Counter::kBytesRead, len);
-  std::lock_guard lk(mu_);
-  bytes_read_ += len;
 }
 
 void Device::reset_page_touches() {

@@ -3,8 +3,6 @@
 #include <pmemcpy/pmem/device.hpp>  // kCacheLine
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace pmemcpy::check {
@@ -343,55 +341,6 @@ bool PersistChecker::clean() const {
 bool PersistChecker::has_pending_flushes() const {
   std::lock_guard lk(mu_);
   return !pending_lines_.empty();
-}
-
-// --- process-global counter aggregation ------------------------------------
-
-namespace {
-std::mutex g_counters_mu;
-GlobalCounters g_counters;
-bool g_atexit_registered = false;
-
-extern "C" void pmemcpy_check_dump_counters() {
-  const std::string line = global_counters_line();
-  std::fprintf(stderr, "%s\n", line.c_str());
-}
-}  // namespace
-
-void accumulate_global(const Report& r) {
-  std::lock_guard lk(g_counters_mu);
-  g_counters.store_ops += r.store_ops;
-  g_counters.flush_ops += r.flush_ops;
-  g_counters.lines_flushed += r.lines_flushed;
-  g_counters.fence_ops += r.fence_ops;
-  g_counters.clean_flushes += r.clean_flushes;
-  g_counters.duplicate_flushes += r.duplicate_flushes;
-  g_counters.empty_fences += r.empty_fences;
-  g_counters.correctness_violations += r.correctness_violations;
-}
-
-GlobalCounters global_counters() {
-  std::lock_guard lk(g_counters_mu);
-  return g_counters;
-}
-
-std::string global_counters_line() {
-  const GlobalCounters c = global_counters();
-  std::ostringstream os;
-  os << "[pmemcpy-persist-check] store_ops=" << c.store_ops
-     << " flush_ops=" << c.flush_ops << " lines_flushed=" << c.lines_flushed
-     << " fence_ops=" << c.fence_ops << " clean_flushes=" << c.clean_flushes
-     << " duplicate_flushes=" << c.duplicate_flushes
-     << " empty_fences=" << c.empty_fences
-     << " correctness_violations=" << c.correctness_violations;
-  return os.str();
-}
-
-void register_atexit_counter_dump() {
-  std::lock_guard lk(g_counters_mu);
-  if (g_atexit_registered) return;
-  g_atexit_registered = true;
-  std::atexit(&pmemcpy_check_dump_counters);
 }
 
 }  // namespace pmemcpy::check

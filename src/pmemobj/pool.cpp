@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <exception>
 #include <new>
 #include <thread>
 #include <unordered_map>
@@ -423,6 +424,36 @@ Pool::Magazine& Pool::magazine() {
   return *slot;
 }
 
+template <typename Fn>
+void Pool::with_alloc_tx(int stripe, std::string_view name, Fn&& fn) {
+  dev_->check_tx_begin(name);
+  try {
+    fn();
+  } catch (...) {
+    // A fault mid-mutation (e.g. sticky media surfacing under a store) exits
+    // through here with the heap half-changed; the undo log the mutation
+    // pre-imaged into is designed for crash recovery but rolls the live
+    // image back just as well.  If the rollback itself hits dead media,
+    // the metadata under the allocator state died, and THAT error is the
+    // one the healing path must see: quarantining it flips the allocator
+    // into its degraded mode and tells check() the stored counters are
+    // scarred, while the half-rolled-back tx stays pending in the durable
+    // undo lane for the next open to replay.  Any other rollback failure
+    // is best effort and the original fault propagates.
+    std::exception_ptr err = std::current_exception();
+    try {
+      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
+                   Layout::kStripeUndoBytes);
+    } catch (const pmem::DeviceError&) {
+      err = std::current_exception();
+    } catch (...) {
+    }
+    dev_->check_tx_abort();
+    std::rethrow_exception(err);
+  }
+  dev_->check_tx_commit();
+}
+
 std::uint64_t Pool::alloc(std::size_t bytes) {
   if (bytes == 0) bytes = 1;
   trace::Span span("pool.alloc");
@@ -467,35 +498,10 @@ std::uint64_t Pool::alloc(std::size_t bytes) {
   trace::count(trace::Counter::kAllocLaneAcquisitions);
   charge_queue_delay();
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.alloc");
-  try {
-    const std::uint64_t off = alloc_locked(bytes, stripe);
-    dev_->check_tx_commit();
-    return off;
-  } catch (...) {
-    // A fault mid-mutation (e.g. sticky media surfacing under a store) exits
-    // through here with the heap half-changed; the undo log the mutation
-    // phase pre-images through is designed for crash recovery but rolls the
-    // live image back just as well.  Best effort: an unrestorable line means
-    // the media under the allocator state itself died, and the caller's
-    // healing/degradation path owns that case.
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  std::uint64_t off = 0;
+  with_alloc_tx(stripe, "pool.alloc",
+                [&] { off = alloc_locked(bytes, stripe); });
+  return off;
 }
 
 std::uint64_t Pool::alloc_locked(std::size_t bytes, int stripe) {
@@ -744,14 +750,6 @@ void Pool::free(std::uint64_t off) {
     return;
   }
   if (dev_->media_failing(base_ + off, 8)) return;  // next-pointer word bad
-  dev_->check_tx_begin("pool.free");
-  struct ScopeGuard {
-    pmem::Device* dev;
-    bool committed = false;
-    ~ScopeGuard() {
-      if (!committed) dev->check_tx_abort();
-    }
-  } guard{dev_};
   const int stripe = acting_stripe();
   const std::uint64_t as_off = Layout::kAllocOff;
   const auto as = get<AllocGlobal>(as_off);
@@ -770,8 +768,8 @@ void Pool::free(std::uint64_t off) {
 
   // Pre-images: allocator state + the payload word that becomes the free-
   // list next pointer.  A crash mid-free leaves the chunk allocated; a live
-  // fault mid-free rolls back the same way (see alloc()).
-  try {
+  // fault mid-free rolls back the same way (see with_alloc_tx()).
+  with_alloc_tx(stripe, "pool.free", [&] {
     aundo_log_batch(stripe, {{as_off, sizeof(AllocGlobal)},
                              {head_field, 8},
                              {off, 8}});
@@ -787,25 +785,7 @@ void Pool::free(std::uint64_t off) {
     dirty.push_back({as_off + offsetof(AllocGlobal, bytes_in_use), 8});
     persist_ranges(dirty);
     aundo_commit(stripe);
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    throw;
-  }
-  dev_->check_tx_commit();
-  guard.committed = true;
+  });
 }
 
 std::size_t Pool::usable_size(std::uint64_t off) const {
@@ -958,30 +938,11 @@ std::size_t Pool::refill_magazine(Magazine& m, std::size_t cls) {
   trace::count(trace::Counter::kAllocLaneAcquisitions);
   charge_queue_delay();
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.refill");
-  try {
-    const std::size_t got = refill_locked(m, cls, stripe);
-    dev_->check_tx_commit();
-    if (got > 0) trace::count(trace::Counter::kAllocMagazineRefills);
-    return got;
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  std::size_t got = 0;
+  with_alloc_tx(stripe, "pool.refill",
+                [&] { got = refill_locked(m, cls, stripe); });
+  if (got > 0) trace::count(trace::Counter::kAllocMagazineRefills);
+  return got;
 }
 
 std::size_t Pool::refill_locked(Magazine& m, std::size_t cls, int stripe) {
@@ -1089,29 +1050,9 @@ void Pool::flush_back(Magazine& m, std::size_t cls, std::size_t keep) {
   stack.erase(stack.begin(), stack.begin() + static_cast<long>(n));
   if (out.empty()) return;
   const int stripe = acting_stripe();
-  dev_->check_tx_begin("pool.flushback");
-  try {
-    flush_back_locked(out, cls, stripe);
-    dev_->check_tx_commit();
-    trace::count(trace::Counter::kAllocMagazineFlushbacks);
-  } catch (...) {
-    try {
-      rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
-                   Layout::kStripeUndoBytes);
-    } catch (const pmem::DeviceError&) {
-      // The media under the allocator state itself died mid-rollback: the
-      // tx fault being unwound names a different range, so THIS error is
-      // the one the healing path must see — quarantining the dead metadata
-      // flips the allocator into its degraded mode and tells check() the
-      // stored counters are scarred.  The half-rolled-back tx stays
-      // pending in the durable undo lane for the next open to replay.
-      dev_->check_tx_abort();
-      throw;
-    } catch (...) {
-    }
-    dev_->check_tx_abort();
-    throw;
-  }
+  with_alloc_tx(stripe, "pool.flushback",
+                [&] { flush_back_locked(out, cls, stripe); });
+  trace::count(trace::Counter::kAllocMagazineFlushbacks);
 }
 
 void Pool::flush_back_locked(const std::vector<std::uint64_t>& out,
@@ -1251,7 +1192,9 @@ void Pool::sweep_magazines() {
       trace::count(trace::Counter::kAllocMagazineSwept);
     } catch (...) {
       // Media died under the push: roll back and leave this chunk leaked in
-      // place (still flagged); keep sweeping the rest.
+      // place (still flagged); keep sweeping the rest.  The one unwind that
+      // does not go through with_alloc_tx(): open() must not fail on a
+      // chunk a later open can still reclaim.
       try {
         rollback_log(stripe_undo_off(stripe), stripe_undo_off(stripe) + 8,
                      Layout::kStripeUndoBytes);

@@ -2,6 +2,7 @@
 // compression effectiveness, and end-to-end use through the pMEMCPY core.
 #include <pmemcpy/pmemcpy.hpp>
 #include <pmemcpy/serial/filter.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@ using pmemcpy::serial::filter_decode;
 using pmemcpy::serial::filter_encode;
 using pmemcpy::serial::FilterId;
 using pmemcpy::serial::SerialError;
+namespace trace = pmemcpy::trace;
 
 std::vector<std::byte> as_bytes(const std::vector<double>& v) {
   std::vector<std::byte> out(v.size() * 8);
@@ -159,6 +161,9 @@ INSTANTIATE_TEST_SUITE_P(Filters, FilterCoreTest,
 TEST(FilterCore, CompressionReducesDeviceBytes) {
   pmemcpy::PmemNode::Options o;
   o.capacity = 128ull << 20;
+  // Device bytes are counted by the trace registry only.
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
   std::uint64_t written_plain = 0, written_rle = 0;
   for (const auto f : {FilterId::kNone, FilterId::kRle}) {
     pmemcpy::PmemNode node(o);
@@ -170,12 +175,13 @@ TEST(FilterCore, CompressionReducesDeviceBytes) {
     std::vector<double> zeros(1 << 18, 0.0);  // 2 MiB of zeroes
     const std::size_t dims = zeros.size(), off = 0;
     pmem.alloc<double>("z", 1, &dims);
-    const auto before = node.device().bytes_written();
+    const auto before = trace::counter(trace::Counter::kBytesWritten);
     pmem.store("z", zeros.data(), 1, &off, &dims);
-    const auto delta = node.device().bytes_written() - before;
+    const auto delta = trace::counter(trace::Counter::kBytesWritten) - before;
     (f == FilterId::kNone ? written_plain : written_rle) = delta;
     pmem.munmap();
   }
+  trace::set_enabled(was_enabled);
   EXPECT_LT(written_rle, written_plain / 20);
 }
 

@@ -2,6 +2,7 @@
 // MAP_SYNC accounting, crash semantics.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/pmem/device.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
@@ -166,12 +167,31 @@ TEST(DeviceTest, MapSyncDeratesReadBandwidth) {
 }
 
 TEST(DeviceTest, StatsCountBytes) {
+  // The trace registry is the one byte counter: every counting path of the
+  // device (checked and DAX, both directions) must land in it exactly.
+  namespace trace = pmemcpy::trace;
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  const auto written = [] {
+    return trace::counter(trace::Counter::kBytesWritten);
+  };
+  const auto read = [] { return trace::counter(trace::Counter::kBytesRead); };
   Device dev(1 << 20);
   std::vector<std::byte> buf(1000);
+  const auto w0 = written(), r0 = read();
   dev.write(0, buf.data(), 1000);
+  EXPECT_EQ(written() - w0, 1000u);
+  dev.fill(4096, 300, std::byte{0xAB});
+  EXPECT_EQ(written() - w0, 1300u);
+  dev.charge_dax_write(8192, 70, false);
+  EXPECT_EQ(written() - w0, 1370u);
+  EXPECT_EQ(read() - r0, 0u);
   dev.read(0, buf.data(), 500);
-  EXPECT_EQ(dev.bytes_written(), 1000u);
-  EXPECT_EQ(dev.bytes_read(), 500u);
+  EXPECT_EQ(read() - r0, 500u);
+  dev.charge_dax_read(40, true);
+  EXPECT_EQ(read() - r0, 540u);
+  EXPECT_EQ(written() - w0, 1370u);
+  trace::set_enabled(was_enabled);
 }
 
 TEST(DeviceCrashTest, PersistedDataSurvives) {

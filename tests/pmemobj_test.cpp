@@ -1,4 +1,5 @@
 // Tests for the libpmemobj-lite pool: allocator, transactions, recovery.
+#include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/obj/pool.hpp>
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@ using pmemcpy::obj::PoolError;
 using pmemcpy::obj::PoolOptions;
 using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
+using pmemcpy::pmem::DeviceError;
 
 constexpr std::size_t kPool = 32ull << 20;
 
@@ -595,6 +597,89 @@ TEST(PoolMagazineTest, LargeAllocationsBypassMagazines) {
   EXPECT_EQ(rep.magazine_chunks, before);
   const auto again = p.alloc(200000);
   EXPECT_EQ(again, big);  // reused from the large free list
+}
+
+// ---------------------------------------------------------------------------
+// Allocator transaction unwind (DESIGN.md §14)
+// ---------------------------------------------------------------------------
+
+// Pool media layout (Pool::Layout in src/pmemobj/pool.cpp): the global
+// allocator state, stripe 0's size-class free-list heads, and the first
+// pre-image entry of stripe 0's undo lane (right behind its `used` word).
+constexpr std::size_t kAllocGlobalOff = 4096;
+constexpr std::size_t kStripe0HeadsOff = 4224;
+constexpr std::size_t kStripe0HeadsLen = 88;
+constexpr std::size_t kStripe0UndoEntryOff = 8192 + 8;
+
+/// Make the next stripe-0 allocator transaction fault twice: its mutation
+/// stores into sticky-bad media at @p sticky_off (kMediaWrite), and its
+/// rollback reads an undo entry under a media read error (kMediaRead).
+void break_tx_and_rollback(Device& dev, std::size_t sticky_off,
+                           std::size_t sticky_len) {
+  dev.inject_sticky_range(sticky_off, sticky_len);
+  dev.inject_read_error(kStripe0UndoEntryOff, 16);
+}
+
+/// @p op must fail with the rollback's error, not the mutation's.
+template <typename Op>
+void expect_rollback_error(Op op) {
+  try {
+    op();
+    ADD_FAILURE() << "expected the rollback's DeviceError";
+  } catch (const DeviceError& e) {
+    EXPECT_EQ(e.kind, DeviceError::Kind::kMediaRead) << e.what();
+  }
+}
+
+/// True when this thread has no checker scope open: a commit with an empty
+/// scope stack is ignored and commits nothing.
+bool no_scope_open(Device& dev) {
+  const auto before = dev.checker_report().scopes_committed;
+  dev.check_tx_commit();
+  return dev.checker_report().scopes_committed == before;
+}
+
+TEST(PoolAllocTxTest, FreeRollbackFaultAbortsOnlyItsOwnScope) {
+  Device dev(kPool + 4096);
+  dev.enable_checker();
+  Pool p = Pool::create(dev, 0, kPool);  // classic free path, one stripe
+  const auto off = p.alloc(64);
+  break_tx_and_rollback(dev, kStripe0HeadsOff, kStripe0HeadsLen);
+
+  // The caller's enclosing scope (an ht.put freeing an overwritten value)
+  // holds one store it never flushes; its commit must still see it.
+  dev.check_tx_begin("outer");
+  const std::uint64_t v = 1;
+  dev.write(kPool, &v, sizeof(v));
+  expect_rollback_error([&] { p.free(off); });
+  dev.check_tx_commit();
+
+  const auto rep = dev.checker()->take_report();
+  EXPECT_EQ(rep.count(pmemcpy::check::Violation::kDirtyAtCommit), 1u)
+      << rep.to_string();
+  EXPECT_TRUE(no_scope_open(dev));
+}
+
+TEST(PoolAllocTxTest, RollbackFaultPropagatesFromEveryAllocatorSite) {
+  const auto run = [](int magazine_size, auto&& prepare, auto&& op) {
+    Device dev(kPool);
+    dev.enable_checker();
+    Pool p = Pool::create(dev, 0, kPool);
+    p.set_magazine_size(magazine_size);
+    prepare(p);
+    break_tx_and_rollback(dev, kAllocGlobalOff, 8);
+    expect_rollback_error([&] { op(p); });
+    EXPECT_TRUE(no_scope_open(dev));
+    (void)dev.checker()->take_report();
+  };
+  const auto nothing = [](Pool&) {};
+  // Classic alloc: the arena-cursor store faults.
+  run(0, nothing, [](Pool& p) { (void)p.alloc(64); });
+  // Magazine refill: the batch's AllocGlobal store faults.
+  run(8, nothing, [](Pool& p) { (void)p.alloc(64); });
+  // Magazine flush-back: the bytes_in_use store faults.
+  run(8, [](Pool& p) { p.free(p.alloc(64)); },
+      [](Pool& p) { p.drain_magazines(); });
 }
 
 }  // namespace
