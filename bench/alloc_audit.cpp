@@ -117,7 +117,7 @@ void audit(const std::string& name, int nranks, int magazine_size,
   p.magazine_free_hits =
       trace::counter(trace::Counter::kAllocMagazineFreeHits);
   p.magazine_refills = trace::counter(trace::Counter::kAllocMagazineRefills);
-  p.queue_delay_s = trace::histogram(trace::Hist::kShardQueueDelay).sum;
+  p.queue_delay_s = trace::histogram(trace::Hist::kAllocQueueDelay).sum;
   phases.push_back(std::move(p));
 }
 

@@ -154,6 +154,9 @@ class PersistChecker {
     bool store_after_flush_reported = false;
     std::vector<std::uint32_t> writers;    ///< slots with stores since last flush
     std::vector<std::uint32_t> satisfied;  ///< slots covered by another's flush
+    /// Slots whose stores ride in the flushed-but-unfenced writeback: set
+    /// from writers at each flush of a dirty line, emptied by the fence.
+    std::vector<std::uint32_t> in_flight;
   };
   struct Scope {
     std::string name;

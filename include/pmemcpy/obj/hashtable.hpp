@@ -81,8 +81,8 @@ class HashTable {
 
     /// Close this reservation's persistency-checker scope early, for group
     /// staging.  The checker's scope stack is strictly LIFO per thread, but
-    /// a batch stager interleaves reservations (across buckets, tables and
-    /// shards) and publishes them in a different order — so each staged
+    /// a batch stager interleaves reservations (across buckets and tables)
+    /// and publishes them in a different order — so each staged
     /// scope must be popped while it is still the innermost one, i.e. right
     /// after the value is serialized and before the next reservation.  The
     /// staged lines stay deliberately dirty; publish_group()'s coalesced

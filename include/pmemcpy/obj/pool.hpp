@@ -134,15 +134,15 @@ class Pool {
   /// Expected number of ranks/threads concurrently hammering this pool's
   /// serialized metadata path (allocator lock, undo logs).  A pure
   /// simulation knob: every alloc()/free() charges a queueing delay of
-  /// (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to
-  /// ceil(nranks/shards) at open; the default of 1 charges nothing, so
-  /// serial code is unaffected.
+  /// (n-1) * PmemModel::pool_op_queue_cost.  Engines set it to nranks at
+  /// open; the default of 1 charges nothing, so serial code is unaffected.
   void set_expected_contenders(int n) noexcept { contenders_ = n < 1 ? 1 : n; }
   [[nodiscard]] int expected_contenders() const noexcept { return contenders_; }
 
   /// Per-rank magazine capacity: the refill batch K.  0 (the default for a
   /// raw pool) disables magazines entirely — every alloc/free takes the
-  /// classic locked path.  Engines arm K from PMEMCPY_MAGAZINE_SIZE.
+  /// classic locked path.  Engines arm K from their magazine_size option
+  /// (default 8).
   /// Clamped to [0, kMaxMagazineSize].
   void set_magazine_size(int k) noexcept {
     mag_size_ = k < 0 ? 0 : (k > kMaxMagazineSize ? kMaxMagazineSize : k);
@@ -232,6 +232,15 @@ class Pool {
   /// Flush only (CLWB, no fence); durable after the next drain().  Batch
   /// several flushes under one drain to pay a single fence.
   void flush(std::uint64_t off, std::size_t len);
+  /// One pool byte range, for the batched flush helpers.
+  struct Range {
+    std::uint64_t off;
+    std::uint64_t len;
+  };
+  /// Flush the distinct cachelines covering @p ranges as contiguous runs,
+  /// without the fence: overlapping ranges (or several on one line) pay one
+  /// writeback, and the caller drains once for the whole set.
+  void flush_coalesced(std::span<const Range> ranges);
   /// Fence: make every previously flushed range durable.
   void drain() { dev_->drain(); }
   /// Persistency-checker annotation: declare a pool range as becoming
@@ -283,10 +292,6 @@ class Pool {
   Pool(pmem::Device& dev, std::size_t base, std::size_t size, PoolOptions opts);
 
   struct Layout;  // offsets of persistent control structures
-  struct Range {  // one pre-image / flush target for the batched helpers
-    std::uint64_t off;
-    std::uint64_t len;
-  };
   struct Magazine;      // per-thread size-class chunk cache
   struct AllocRuntime;  // DRAM-side magazine table + quarantine-active flag
   void format();
@@ -337,7 +342,7 @@ class Pool {
   void aundo_commit(int stripe);
   [[nodiscard]] std::uint64_t stripe_undo_off(int stripe) const;
   [[nodiscard]] std::uint64_t stripe_state_off(int stripe) const;
-  /// Coalesce @p ranges to distinct cachelines, flush them, fence once.
+  /// flush_coalesced() + one fence, counted as one metadata persist.
   void persist_ranges(const std::vector<Range>& ranges);
   /// Roll back an undo log (newest entry first) and retire it.  Shared by
   /// lane recovery, transaction rollback and allocator-undo recovery.
@@ -408,7 +413,7 @@ class Transaction {
   bool committed_ = false;
   bool snapshotted_ = false;
   /// Ranges snapshotted or reserved, for the commit-time persist sweep.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ranges_;
+  std::vector<Pool::Range> ranges_;
 };
 
 }  // namespace pmemcpy::obj

@@ -123,7 +123,7 @@ const char* counter_name(Counter c) noexcept;
 /// asserted on are deterministic, so moments are enough).
 enum class Hist : int {
   kBatchSize = 0,       ///< entries per engine group commit
-  kShardQueueDelay,     ///< seconds of pool metadata queueing charged
+  kAllocQueueDelay,     ///< seconds of pool metadata queueing charged
   kAllocSize,           ///< bytes per Pool::alloc
   kNumHists,
 };

@@ -373,10 +373,10 @@ ScrubReport PMEM::scrub() {
   trace::Span span("core.scrub");
   auto& st = engine_ref();
   ScrubReport rep;
-  // Ordered-set dedupe: a key can surface from more than one shard pool
-  // (e.g. a region resharded after its shard-0 pool already held keys that
-  // now route elsewhere), and find() only ever returns the routed copy —
-  // examine and report each distinct key once.
+  // Ordered-set dedupe: a crash between an overwrite's head publish and its
+  // unlink leaves a shadowed duplicate that the table's iteration still
+  // visits, while find() only ever returns the live copy — examine and
+  // report each distinct key once.
   std::set<std::string> keys;
   st.for_each_prefix("",
                      [&](const std::string& key, const engine::EntryInfo&) {
@@ -384,7 +384,7 @@ ScrubReport PMEM::scrub() {
                      });
   for (const auto& key : keys) {
     auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed (or unrouted stale copy)
+    if (!entry) continue;  // concurrently removed
     ++rep.entries;
     const auto info = entry->info();
     const auto prov = entry->provenance();
@@ -392,13 +392,12 @@ ScrubReport PMEM::scrub() {
     try {
       entry->read(0, blob.data(), blob.size());
     } catch (const pmem::DeviceError& e) {
-      rep.corrupt.push_back({key, std::string("media error: ") + e.what(),
-                             prov.shard, prov.dev_off});
+      rep.corrupt.push_back(
+          {key, std::string("media error: ") + e.what(), prov.dev_off});
       continue;
     }
     if (crc32c(blob.data(), blob.size()) != detail::meta_crc(info.meta)) {
-      rep.corrupt.push_back(
-          {key, "checksum mismatch", prov.shard, prov.dev_off});
+      rep.corrupt.push_back({key, "checksum mismatch", prov.dev_off});
     }
   }
   return rep;
@@ -461,13 +460,13 @@ RepairReport PMEM::repair() {
                      });
   const auto mark_damaged = [&](const std::string& key, std::string issue,
                                 const engine::Provenance& prov) {
-    rep.damaged.push_back({key, std::move(issue), prov.shard, prov.dev_off});
+    rep.damaged.push_back({key, std::move(issue), prov.dev_off});
     damaged_.insert(key);
     trace::count(trace::Counter::kFtDamagedKeys);
   };
   for (const auto& key : keys) {
     auto entry = st.find(key);
-    if (!entry) continue;  // concurrently removed (or unrouted stale copy)
+    if (!entry) continue;  // concurrently removed
     ++rep.entries;
     const auto info = entry->info();
     const auto prov = entry->provenance();

@@ -148,7 +148,13 @@ void PersistChecker::on_store(std::size_t off, std::size_t len) {
                     "store is undefined until the next flush)");
     }
     ln.state = Line::kDirty;
-    ln.satisfied.clear();  // past flush coverage no longer applies
+    // This store needs a flush of its own, so a past cross-thread write-back
+    // no longer covers the storer.  Other threads' earlier stores were
+    // written back and stay covered: their upcoming flush is not redundant
+    // by anything they could have known.
+    const auto sat = std::find(ln.satisfied.begin(), ln.satisfied.end(),
+                               ts.slot);
+    if (sat != ln.satisfied.end()) ln.satisfied.erase(sat);
     if (std::find(ln.writers.begin(), ln.writers.end(), ts.slot) ==
         ln.writers.end()) {
       ln.writers.push_back(ts.slot);
@@ -176,6 +182,10 @@ void PersistChecker::on_flush(std::size_t off, std::size_t len,
       // along are "satisfied": their own upcoming flush of this (then clean)
       // line is not a redundancy bug.
       for (std::uint32_t w : ln.writers) {
+        if (std::find(ln.in_flight.begin(), ln.in_flight.end(), w) ==
+            ln.in_flight.end()) {
+          ln.in_flight.push_back(w);
+        }
         if (w == ts.slot) continue;
         if (std::find(ln.satisfied.begin(), ln.satisfied.end(), w) ==
             ln.satisfied.end()) {
@@ -220,7 +230,11 @@ void PersistChecker::on_fence(std::uint64_t persist_op) {
   ts.flushes_since_fence = 0;
   for (std::size_t line : pending_lines_) {
     auto it = lines_.find(line);
-    if (it != lines_.end() && it->second.state == Line::kFlushPending) {
+    if (it == lines_.end()) continue;
+    // The writeback is durable now, even under a store that re-dirtied the
+    // line after its flush.
+    it->second.in_flight.clear();
+    if (it->second.state == Line::kFlushPending) {
       it->second.state = Line::kClean;
     }
   }
@@ -269,7 +283,11 @@ void PersistChecker::tx_commit(std::uint64_t persist_op) {
         record_locked(Violation::kDirtyAtCommit, line, persist_op, scope.name,
                       "line stored in this scope is still dirty at commit");
       }
-    } else if (ln.state == Line::kFlushPending) {
+    } else if (ln.state == Line::kFlushPending &&
+               std::find(ln.in_flight.begin(), ln.in_flight.end(), ts.slot) !=
+                   ln.in_flight.end()) {
+      // Likewise only when the unfenced writeback carries the committer's
+      // stores, not just another thread's flush of a line it fenced earlier.
       record_locked(Violation::kDirtyAtCommit, line, persist_op, scope.name,
                     "line flushed but not fenced at commit");
     }

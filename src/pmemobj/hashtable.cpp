@@ -51,30 +51,6 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-/// Flush the distinct cachelines covering a set of small ranges as
-/// contiguous runs (the same coalescing Transaction::commit does), without
-/// the fence — the caller drains once for the whole set.
-void flush_coalesced(Pool& pool,
-                     const std::vector<std::pair<std::uint64_t, std::size_t>>&
-                         ranges) {
-  std::vector<std::uint64_t> lines;
-  for (const auto& [off, len] : ranges) {
-    const std::uint64_t first = off / pmem::kCacheLine;
-    const std::uint64_t last =
-        (off + len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-    for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
-  }
-  std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-  for (std::size_t i = 0; i < lines.size();) {
-    std::size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    pool.flush(lines[i] * pmem::kCacheLine,
-               (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
-    i = j;
-  }
-}
-
 /// Zero a pool range in bounded chunks.
 void zero_range(Pool& pool, std::uint64_t off, std::size_t len) {
   static constexpr std::size_t kChunk = 64 * 1024;
@@ -653,11 +629,11 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
 
     // Fence #2 — visibility: one 8-byte head store per touched bucket plus
     // the count bump, all flushed together under a second single drain.
-    std::vector<std::pair<std::uint64_t, std::size_t>> vis;
+    std::vector<Pool::Range> vis;
     for (const auto& [slot, head] : shadow_head) {
       if (head == orig_head.find(slot)->second) continue;  // all discarded
       pool_->write(slot, &head, sizeof(head));
-      vis.emplace_back(slot, sizeof(head));
+      vis.push_back({slot, sizeof(head)});
     }
     if (fresh_links != 0) {
       std::lock_guard clk(*count_mu_);
@@ -666,9 +642,9 @@ void HashTable::publish_group(std::span<GroupPut> puts) {
           static_cast<std::int64_t>(hdr.count) + fresh_links);
       pool_->write(hoff_ + offsetof(TableHeader, count), &count,
                    sizeof(count));
-      vis.emplace_back(hoff_ + offsetof(TableHeader, count), sizeof(count));
+      vis.push_back({hoff_ + offsetof(TableHeader, count), sizeof(count)});
     }
-    flush_coalesced(*pool_, vis);
+    pool_->flush_coalesced(vis);
     pool_->drain();
 
     // The new chains are durable and visible; unlink the superseded

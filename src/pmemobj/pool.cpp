@@ -388,7 +388,7 @@ void Pool::charge_queue_delay() const {
   const double delay =
       static_cast<double>(depth - 1) * c.model().pmem.pool_op_queue_cost;
   c.advance(delay, sim::Charge::kOther);
-  trace::observe(trace::Hist::kShardQueueDelay, delay);
+  trace::observe(trace::Hist::kAllocQueueDelay, delay);
   trace::count(trace::Counter::kAllocQueueCharges);
 }
 
@@ -852,10 +852,7 @@ void Pool::aundo_commit(int stripe) {
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
 
-void Pool::persist_ranges(const std::vector<Range>& ranges) {
-  // Coalesce to distinct cachelines (mirroring Transaction::commit) so
-  // overlapping metadata stores pay one writeback, then fence once.
-  if (ranges.empty()) return;
+void Pool::flush_coalesced(std::span<const Range> ranges) {
   std::vector<std::uint64_t> lines;
   for (const auto& r : ranges) {
     const std::uint64_t first = r.off / pmem::kCacheLine;
@@ -872,6 +869,11 @@ void Pool::persist_ranges(const std::vector<Range>& ranges) {
           (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
     i = j;
   }
+}
+
+void Pool::persist_ranges(const std::vector<Range>& ranges) {
+  if (ranges.empty()) return;
+  flush_coalesced(ranges);
   drain();
   trace::count(trace::Counter::kAllocMetadataPersists);
 }
@@ -1689,7 +1691,7 @@ void Transaction::snapshot(std::uint64_t off, std::size_t len) {
   pool_->persist(pos, entry);
   // Only after the entry is durable does it become visible.
   pool_->set<std::uint64_t>(lo, used + entry);
-  ranges_.emplace_back(off, len);
+  ranges_.push_back({off, len});
   snapshotted_ = true;
 }
 
@@ -1697,7 +1699,7 @@ void Transaction::reserve(std::uint64_t off, std::size_t len) {
   if (committed_) throw PoolError("Transaction: reserve after commit");
   if (len == 0) return;
   pool_->check_off(off, len);
-  ranges_.emplace_back(off, len);
+  ranges_.push_back({off, len});
 }
 
 void Transaction::commit() {
@@ -1710,22 +1712,7 @@ void Transaction::commit() {
   // flush+fence each — the persist checker flagged those as duplicate
   // flushes — where one writeback suffices.
   if (!ranges_.empty()) {
-    std::vector<std::uint64_t> lines;
-    for (const auto& [off, len] : ranges_) {
-      const std::uint64_t first = off / pmem::kCacheLine;
-      const std::uint64_t last =
-          (off + len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-      for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
-    }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    for (std::size_t i = 0; i < lines.size();) {
-      std::size_t j = i + 1;
-      while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-      pool_->flush(lines[i] * pmem::kCacheLine,
-                   (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
-      i = j;
-    }
+    pool_->flush_coalesced(ranges_);
     pool_->drain();
   }
   // Retire the log.  The zero MUST be persisted: if it only reached the CPU

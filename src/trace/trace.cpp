@@ -189,7 +189,7 @@ const char* counter_name(Counter c) noexcept {
 const char* hist_name(Hist h) noexcept {
   switch (h) {
     case Hist::kBatchSize: return "batch_size";
-    case Hist::kShardQueueDelay: return "shard_queue_delay_sec";
+    case Hist::kAllocQueueDelay: return "alloc_queue_delay_sec";
     case Hist::kAllocSize: return "alloc_size";
     case Hist::kNumHists: break;
   }

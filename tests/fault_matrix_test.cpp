@@ -420,7 +420,6 @@ TEST(FaultMatrix, UnreadableEntriesBecomeTypedDamage) {
   ASSERT_EQ(scrubbed.corrupt.size(), 1u);
   EXPECT_EQ(scrubbed.corrupt[0].key, "lost");
   EXPECT_EQ(scrubbed.corrupt[0].dev_off, voff);
-  EXPECT_EQ(scrubbed.corrupt[0].shard, 0);
 
   // ...and repair() declares it damaged: uncorrectable reads cannot heal.
   const std::uint64_t dmg0 = ctr(Counter::kFtDamagedKeys);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <thread>
 
 namespace {
 
@@ -86,6 +87,54 @@ TEST_F(PersistCheckerTest, FlagsFlushPendingAtCommit) {
   dev.check_tx_commit();
   const auto rep = dev.checker()->take_report();
   EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
+}
+
+// A committer answers only for writebacks that carry its own stores.
+// Thread A persists a line inside its scope; thread B then stores to the
+// same line and flushes it without a fence.  A's commit must not inherit
+// B's pending writeback, while A's own flushed-but-unfenced stores are
+// still flagged, whichever thread issued the flush.
+TEST_F(PersistCheckerTest, FlushPendingAtCommitFlagsOnlyTheCommittersStores) {
+  const std::uint64_t v = 1;
+  const auto on_other_thread = [](auto fn) { std::thread(fn).join(); };
+  dev.check_tx_begin("test.shared");
+  dev.write(0, &v, sizeof(v));
+  dev.persist(0, sizeof(v));
+  on_other_thread([&] {
+    dev.write(8, &v, sizeof(v));
+    dev.flush(8, sizeof(v));  // CLWB without SFENCE
+  });
+  dev.check_tx_commit();
+  auto rep = dev.checker()->take_report();
+  EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 0u) << rep.to_string();
+
+  dev.check_tx_begin("test.own");
+  dev.write(128, &v, sizeof(v));
+  dev.flush(128, sizeof(v));  // own flush, no fence
+  dev.write(256, &v, sizeof(v));
+  on_other_thread([&] { dev.flush(256, sizeof(v)); });  // B carries A's store
+  dev.check_tx_commit();
+  rep = dev.checker()->take_report();
+  EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 2u) << rep.to_string();
+  dev.drain();
+}
+
+// A thread whose store another thread already wrote back may still flush
+// it: it cannot know about the other flush.  A third store to the line in
+// between (here the other thread's next store) must not revoke that
+// coverage and turn the justified flush into a clean-flush lint.
+TEST_F(PersistCheckerTest, CrossThreadWritebackCoverageSurvivesLaterStores) {
+  const std::uint64_t v = 1;
+  dev.write(8, &v, sizeof(v));  // this thread's store, not yet flushed
+  std::thread([&] {
+    dev.write(0, &v, sizeof(v));
+    dev.persist(0, sizeof(v));  // writes back this thread's store too
+    dev.write(16, &v, sizeof(v));
+    dev.persist(16, sizeof(v));
+  }).join();
+  dev.persist(8, sizeof(v));
+  const auto rep = dev.checker()->take_report();
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST_F(PersistCheckerTest, FlagsUnpersistedPublish) {
