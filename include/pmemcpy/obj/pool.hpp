@@ -239,7 +239,10 @@ class Pool {
   };
   /// Flush the distinct cachelines covering @p ranges as contiguous runs,
   /// without the fence: overlapping ranges (or several on one line) pay one
-  /// writeback, and the caller drains once for the whole set.
+  /// writeback, and the caller drains once for the whole set.  Each range
+  /// maps to its line interval; sorted intervals that overlap or touch merge
+  /// into one flush, issued in ascending order, so the host cost grows with
+  /// the number of ranges, not the bytes they cover.
   void flush_coalesced(std::span<const Range> ranges);
   /// Fence: make every previously flushed range durable.
   void drain() { dev_->drain(); }

@@ -340,6 +340,10 @@ class Device {
   /// Sticky-bad ranges (off, len).  Mutable: a faulted attempt on the const
   /// read path can escalate a range just like a store can.
   mutable std::vector<std::pair<std::size_t, std::size_t>> sticky_bad_;
+  /// sticky_bad_ / bad_media_ non-empty, written under mu_: media_failing()
+  /// and check_media() skip the lock when nothing is injected.
+  mutable std::atomic<bool> sticky_any_{false};
+  std::atomic<bool> bad_media_any_{false};
 
   // Guards shadow_, touched_, bad/sticky media and the fault coins (byte
   // traffic is counted lock-free in trace::Counter).

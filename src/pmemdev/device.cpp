@@ -514,16 +514,18 @@ void Device::inject_read_error(std::size_t off, std::size_t len) {
   check_range(off, len);
   std::lock_guard lk(mu_);
   bad_media_.emplace_back(off, len);
+  bad_media_any_.store(true, std::memory_order_release);
 }
 
 void Device::clear_read_errors() {
   std::lock_guard lk(mu_);
   bad_media_.clear();
+  bad_media_any_.store(false, std::memory_order_release);
 }
 
 void Device::check_media(std::size_t off, std::size_t len) const {
+  if (!bad_media_any_.load(std::memory_order_acquire)) return;
   std::lock_guard lk(mu_);
-  if (bad_media_.empty()) return;
   for (const auto& [boff, blen] : bad_media_) {
     if (off < boff + blen && boff < off + len) {
       throw DeviceError(DeviceError::Kind::kMediaRead, off, len,
@@ -555,6 +557,7 @@ void Device::inject_sticky_range(std::size_t off, std::size_t len) {
   {
     std::lock_guard lk(mu_);
     sticky_bad_.emplace_back(first, last - first);
+    sticky_any_.store(true, std::memory_order_release);
   }
   trace::count(trace::Counter::kFtStickyRanges);
   // Sticky checks only run while injection is armed; an explicit injection
@@ -565,6 +568,7 @@ void Device::inject_sticky_range(std::size_t off, std::size_t len) {
 void Device::clear_sticky_ranges() {
   std::lock_guard lk(mu_);
   sticky_bad_.clear();
+  sticky_any_.store(false, std::memory_order_release);
 }
 
 std::vector<std::pair<std::size_t, std::size_t>> Device::sticky_ranges()
@@ -574,6 +578,7 @@ std::vector<std::pair<std::size_t, std::size_t>> Device::sticky_ranges()
 }
 
 bool Device::media_failing(std::size_t off, std::size_t len) const {
+  if (!sticky_any_.load(std::memory_order_acquire)) return false;
   std::lock_guard lk(mu_);
   for (const auto& [soff, slen] : sticky_bad_) {
     if (off < soff + slen && soff < off + len) return true;
@@ -618,6 +623,7 @@ Device::Attempt Device::fault_attempt(
     const std::size_t last =
         (off + len + kCacheLine - 1) / kCacheLine * kCacheLine;
     *sticky = sticky_bad_.emplace_back(first, last - first);
+    sticky_any_.store(true, std::memory_order_release);
     return Attempt::kSticky;
   }
   return Attempt::kTransient;

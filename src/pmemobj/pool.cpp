@@ -853,20 +853,24 @@ void Pool::aundo_commit(int stripe) {
 }
 
 void Pool::flush_coalesced(std::span<const Range> ranges) {
-  std::vector<std::uint64_t> lines;
+  // Line intervals [first, last), merged where they overlap or touch: the
+  // cost is O(ranges), not O(lines covered).
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> lines;
+  lines.reserve(ranges.size());
   for (const auto& r : ranges) {
     const std::uint64_t first = r.off / pmem::kCacheLine;
     const std::uint64_t last =
         (r.off + r.len + pmem::kCacheLine - 1) / pmem::kCacheLine;
-    for (std::uint64_t l = first; l < last; ++l) lines.push_back(l);
+    if (first < last) lines.emplace_back(first, last);
   }
   std::sort(lines.begin(), lines.end());
-  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   for (std::size_t i = 0; i < lines.size();) {
+    auto [first, last] = lines[i];
     std::size_t j = i + 1;
-    while (j < lines.size() && lines[j] == lines[j - 1] + 1) ++j;
-    flush(lines[i] * pmem::kCacheLine,
-          (lines[j - 1] - lines[i] + 1) * pmem::kCacheLine);
+    for (; j < lines.size() && lines[j].first <= last; ++j) {
+      last = std::max(last, lines[j].second);
+    }
+    flush(first * pmem::kCacheLine, (last - first) * pmem::kCacheLine);
     i = j;
   }
 }

@@ -1,6 +1,8 @@
-// Equivalence proof for the slicing-by-8 CRC32C kernel: bit-identical to the
-// byte-at-a-time reference on arbitrary buffers, alignments, chain splits,
-// and the standard check vector.
+// Equivalence proof for the CRC32C kernels (the dispatched crc32c(), the
+// portable slicing-by-8 kernel and, on x86-64 CPUs with SSE4.2 + PCLMULQDQ,
+// the three-stream hardware kernel): bit-identical to the byte-at-a-time
+// reference on arbitrary buffers, alignments, chain splits, and the standard
+// check vectors.
 #include <pmemcpy/crc32c.hpp>
 
 #include <gtest/gtest.h>
@@ -102,5 +104,105 @@ TEST(Crc32c, SensitivityToSingleBitFlips) {
     buf[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
   }
 }
+
+/// One kernel under test, called directly (not through the dispatcher).
+struct Kernel {
+  const char* name;
+  std::uint32_t (*fn)(const void*, std::size_t, std::uint32_t);
+};
+
+class Crc32cKernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+#if defined(PMEMCPY_CRC32C_HW)
+    if (GetParam().fn == &pmemcpy::detail_crc::crc32c_hw &&
+        !pmemcpy::detail_crc::hw_supported()) {
+      GTEST_SKIP() << "CPU lacks SSE4.2/PCLMULQDQ";
+    }
+#endif
+  }
+  std::uint32_t crc(const void* p, std::size_t n, std::uint32_t c = 0) const {
+    return GetParam().fn(p, n, c);
+  }
+};
+
+/// Bytes per block of the hardware kernel: three interleaved 4 KiB streams.
+constexpr std::size_t kBlock = 3 * 4096;
+
+TEST_P(Crc32cKernel, KnownVectors) {
+  // RFC 3720 §B.4.
+  const char digits[] = "123456789";
+  EXPECT_EQ(crc(digits, 9), 0xE3069283u);
+  std::vector<unsigned char> zeros(32, 0x00), ones(32, 0xFF), inc(32), dec(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    inc[i] = static_cast<unsigned char>(i);
+    dec[i] = static_cast<unsigned char>(31 - i);
+  }
+  EXPECT_EQ(crc(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(crc(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(crc(inc.data(), inc.size()), 0x46DD794Eu);
+  EXPECT_EQ(crc(dec.data(), dec.size()), 0x113FDB5Cu);
+  EXPECT_EQ(crc(nullptr, 0), 0u);
+}
+
+TEST_P(Crc32cKernel, LengthsAroundTheBlockEdge) {
+  // One byte short of, exactly at and one past one, two and three blocks,
+  // plus one 12.5 MiB put-sized buffer, at an odd start so the alignment
+  // prologue runs too.
+  const auto buf = random_bytes(13107213 + 1, 0xB10Cull);
+  const unsigned char* p = buf.data() + 1;
+  for (std::size_t blocks = 1; blocks <= 3; ++blocks) {
+    for (std::size_t len : {blocks * kBlock - 1, blocks * kBlock,
+                            blocks * kBlock + 1}) {
+      ASSERT_EQ(crc(p, len, 0x5EEDu), crc32c_reference(p, len, 0x5EEDu))
+          << "len=" << len;
+    }
+  }
+  ASSERT_EQ(crc(p, 13107213), crc32c_reference(p, 13107213));
+}
+
+TEST_P(Crc32cKernel, MatchesReferenceOnEveryAlignment) {
+  const auto backing = random_bytes((64 << 10) + 16, 0xA11C3ull);
+  for (std::size_t off = 0; off < 16; ++off) {
+    const unsigned char* p = backing.data() + off;
+    ASSERT_EQ(crc(p, 64 << 10), crc32c_reference(p, 64 << 10))
+        << "off=" << off;
+  }
+}
+
+TEST_P(Crc32cKernel, ChainSplitsAcrossBlockBoundaries) {
+  // Split points on, next to and between block edges: the second piece
+  // starts mid-stream, so the chained state feeds a fresh block loop.
+  const auto buf = random_bytes(3 * kBlock + 100, 0xC4A1Eull);
+  const std::uint32_t whole = crc32c_reference(buf.data(), buf.size());
+  ASSERT_EQ(crc(buf.data(), buf.size()), whole);
+  for (std::size_t cut : {std::size_t{1}, std::size_t{4095}, std::size_t{4096},
+                          kBlock - 1, kBlock, kBlock + 1, kBlock + 4097,
+                          2 * kBlock - 7, 2 * kBlock, 3 * kBlock,
+                          buf.size() - 1}) {
+    const std::uint32_t head = crc(buf.data(), cut);
+    ASSERT_EQ(crc(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut=" << cut;
+  }
+}
+
+TEST_P(Crc32cKernel, ShortLengths) {
+  for (std::size_t len = 0; len <= 257; ++len) {
+    const auto buf = random_bytes(len, 0x5107ull + len);
+    ASSERT_EQ(crc(buf.data(), len), crc32c_reference(buf.data(), len))
+        << "len=" << len;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32cKernel,
+    ::testing::Values(
+#if defined(PMEMCPY_CRC32C_HW)
+        Kernel{"Hardware", &pmemcpy::detail_crc::crc32c_hw},
+#endif
+        Kernel{"Portable", &pmemcpy::detail_crc::crc32c_portable}),
+    [](const ::testing::TestParamInfo<Kernel>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Tests for the libpmemobj-lite pool: allocator, transactions, recovery.
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/obj/pool.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <random>
+#include <set>
 #include <thread>
 
 #if defined(__has_feature)
@@ -680,6 +682,98 @@ TEST(PoolAllocTxTest, RollbackFaultPropagatesFromEveryAllocatorSite) {
   // Magazine flush-back: the bytes_in_use store faults.
   run(8, [](Pool& p) { p.free(p.alloc(64)); },
       [](Pool& p) { p.drain_magazines(); });
+}
+
+/// The per-line model of Pool::flush_coalesced: expand every range to its
+/// cachelines (a zero-length range at an unaligned offset still covers its
+/// line), de-duplicate, and cut the sorted set into maximal contiguous runs.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> line_runs(
+    const std::vector<Pool::Range>& ranges) {
+  constexpr std::uint64_t kLine = pmemcpy::pmem::kCacheLine;
+  std::set<std::uint64_t> lines;
+  for (const auto& r : ranges) {
+    for (std::uint64_t l = r.off / kLine; l < (r.off + r.len + kLine - 1) / kLine;
+         ++l) {
+      lines.insert(l);
+    }
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;  // first, count
+  for (const std::uint64_t l : lines) {
+    if (!runs.empty() && runs.back().first + runs.back().second == l) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(l, 1);
+    }
+  }
+  return runs;
+}
+
+TEST(PoolFlushCoalesced, MatchesThePerLineModel) {
+  // Seeded random range sets over a 16 KiB region: unsorted, overlapping,
+  // touching, duplicated and zero-length at unaligned offsets.  The flush
+  // and line counts must equal the model's runs and lines, and a crash
+  // right after the drain must keep exactly the model's lines.
+  namespace trace = pmemcpy::trace;
+  constexpr std::uint64_t kLine = pmemcpy::pmem::kCacheLine;
+  constexpr std::size_t kRegion = 16 << 10;
+  Device dev(kPool, /*crash_shadow=*/true);
+  Pool p = Pool::create(dev, 0, kPool);
+  const std::uint64_t base = p.alloc(kRegion + kLine) / kLine * kLine + kLine;
+  const std::vector<std::byte> old_image(kRegion, std::byte{0xA5});
+  const std::vector<std::byte> new_image(kRegion, std::byte{0x5A});
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  std::mt19937_64 rng(20211);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Pool::Range> ranges;
+    const int n = 1 + static_cast<int>(rng() % 12);
+    for (int i = 0; i < n; ++i) {
+      const std::uint64_t off = base + rng() % kRegion;
+      const std::uint64_t room = base + kRegion - off;
+      std::uint64_t len = 0;
+      switch (rng() % 4) {
+        case 0: len = 0; break;                             // zero-length
+        case 1: len = std::min<std::uint64_t>(room, 1 + rng() % 100); break;
+        default: len = std::min<std::uint64_t>(room, rng() % 3000); break;
+      }
+      ranges.push_back({off, len});
+      if (rng() % 4 == 0) ranges.push_back({off, len});     // duplicate
+      if (rng() % 4 == 0 && off + len + 64 <= base + kRegion) {
+        ranges.push_back({off + len, 64});                  // touching
+      }
+    }
+    std::shuffle(ranges.begin(), ranges.end(), rng);
+    const auto runs = line_runs(ranges);
+    std::uint64_t model_lines = 0;
+    for (const auto& r : runs) model_lines += r.second;
+
+    p.write(base, old_image.data(), kRegion);
+    p.persist(base, kRegion);
+    p.write(base, new_image.data(), kRegion);
+    const std::uint64_t ops0 = trace::counter(trace::Counter::kFlushOps);
+    const std::uint64_t lines0 = trace::counter(trace::Counter::kLinesFlushed);
+    p.flush_coalesced(ranges);
+    ASSERT_EQ(trace::counter(trace::Counter::kFlushOps) - ops0, runs.size())
+        << "trial " << trial;
+    ASSERT_EQ(trace::counter(trace::Counter::kLinesFlushed) - lines0,
+              model_lines)
+        << "trial " << trial;
+    p.drain();
+    dev.simulate_crash();
+
+    std::set<std::uint64_t> flushed;
+    for (const auto& [first, count] : runs) {
+      for (std::uint64_t l = first; l < first + count; ++l) flushed.insert(l);
+    }
+    std::vector<std::byte> after(kRegion);
+    p.read(base, after.data(), kRegion);
+    for (std::uint64_t l = 0; l < kRegion / kLine; ++l) {
+      const std::byte want =
+          flushed.count(base / kLine + l) != 0 ? new_image[0] : old_image[0];
+      ASSERT_EQ(after[l * kLine], want) << "trial " << trial << " line " << l;
+    }
+  }
+  trace::set_enabled(was_enabled);
 }
 
 }  // namespace
