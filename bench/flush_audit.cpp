@@ -2,7 +2,8 @@
 //
 // Runs a fixed-size workload through each storage layer with the
 // persistency-order checker attached and prints, per phase, the CLWB/SFENCE
-// traffic the layer generated plus any efficiency lints.  Unlike the
+// traffic the layer generated (trace counters, with tracing enabled) plus
+// any efficiency lints (the checker report).  Unlike the
 // micro_* benches (whose google-benchmark loops adapt iteration counts to
 // wall-clock), every count here is exact and reproducible, so two builds
 // can be diffed flush-for-flush.  EXPERIMENTS.md §"Persistency-order
@@ -36,46 +37,47 @@ using pmemcpy::obj::PList;
 using pmemcpy::obj::Pool;
 using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::Device;
+using pmemcpy::trace::Counter;
+
+/// A trace-schema counter row.  Only the first eight counters are filled:
+/// device traffic from the trace registry, lint tallies from the checker.
+struct Row {
+  std::uint64_t v[static_cast<int>(Counter::kNumCounters)] = {};
+  [[nodiscard]] std::uint64_t operator[](Counter c) const {
+    return v[static_cast<int>(c)];
+  }
+};
 
 struct Phase {
   std::string name;
-  Report delta;
+  Row delta;
 };
 
 std::vector<Phase> phases;
 
-Report report_delta(const Report& before, Report after) {
-  after.store_ops -= before.store_ops;
-  after.flush_ops -= before.flush_ops;
-  after.lines_flushed -= before.lines_flushed;
-  after.fence_ops -= before.fence_ops;
-  // The lint tallies must be deltas too: the ht-batch phases share one
-  // device, so without these a stage-phase lint would leak into the
-  // commit-phase row.
-  after.clean_flushes -= before.clean_flushes;
-  after.duplicate_flushes -= before.duplicate_flushes;
-  after.empty_fences -= before.empty_fences;
-  after.correctness_violations -= before.correctness_violations;
-  return after;
+Row snapshot(const Device& dev) {
+  Row r;
+  for (Counter c : {Counter::kStoreOps, Counter::kFlushOps,
+                    Counter::kLinesFlushed, Counter::kFenceOps}) {
+    r.v[static_cast<int>(c)] = pmemcpy::trace::counter(c);
+  }
+  const Report rep = dev.checker_report();
+  r.v[static_cast<int>(Counter::kCleanFlushes)] = rep.clean_flushes;
+  r.v[static_cast<int>(Counter::kDuplicateFlushes)] = rep.duplicate_flushes;
+  r.v[static_cast<int>(Counter::kEmptyFences)] = rep.empty_fences;
+  r.v[static_cast<int>(Counter::kCorrectnessViolations)] =
+      rep.correctness_violations;
+  return r;
 }
 
-/// One phase delta as a trace-schema counter row (the first eight trace
-/// counters mirror check::Report field-for-field).
-void delta_to_row(
-    const Report& d,
-    std::uint64_t (&row)[static_cast<int>(
-        pmemcpy::trace::Counter::kNumCounters)]) {
-  using pmemcpy::trace::Counter;
-  for (auto& v : row) v = 0;
-  row[static_cast<int>(Counter::kStoreOps)] = d.store_ops;
-  row[static_cast<int>(Counter::kFlushOps)] = d.flush_ops;
-  row[static_cast<int>(Counter::kLinesFlushed)] = d.lines_flushed;
-  row[static_cast<int>(Counter::kFenceOps)] = d.fence_ops;
-  row[static_cast<int>(Counter::kCleanFlushes)] = d.clean_flushes;
-  row[static_cast<int>(Counter::kDuplicateFlushes)] = d.duplicate_flushes;
-  row[static_cast<int>(Counter::kEmptyFences)] = d.empty_fences;
-  row[static_cast<int>(Counter::kCorrectnessViolations)] =
-      d.correctness_violations;
+/// Per-phase deltas.  The lint tallies must be deltas too: the ht-batch
+/// phases share one device, so without them a stage-phase lint would leak
+/// into the commit-phase row.
+Row delta(const Row& before, Row after) {
+  for (std::size_t i = 0; i < std::size(after.v); ++i) {
+    after.v[i] -= before.v[i];
+  }
+  return after;
 }
 
 /// Runs @p fn on a fresh checked device and records the traffic delta.
@@ -83,9 +85,9 @@ template <typename Fn>
 void audit(const std::string& name, std::size_t dev_bytes, Fn&& fn) {
   Device dev(dev_bytes);
   dev.enable_checker();
-  const Report before = dev.checker()->report();
+  const Row before = snapshot(dev);
   fn(dev);
-  phases.push_back({name, report_delta(before, dev.checker()->report())});
+  phases.push_back({name, delta(before, snapshot(dev))});
 }
 
 bool write_json(const char* path) {
@@ -99,11 +101,8 @@ bool write_json(const char* path) {
     // Serialise through the shared trace counter schema: the first four
     // fields stay in the exact layout check_baseline()'s sscanf expects,
     // and lint tallies ride along as nonzero-only extras.
-    std::uint64_t row[static_cast<int>(
-        pmemcpy::trace::Counter::kNumCounters)];
-    delta_to_row(phases[i].delta, row);
     std::fprintf(f, "{\"phase\": \"%s\", %s}%s\n", phases[i].name.c_str(),
-                 pmemcpy::trace::schema_fields(row).c_str(),
+                 pmemcpy::trace::schema_fields(phases[i].delta.v).c_str(),
                  i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
@@ -143,22 +142,22 @@ bool check_baseline(const char* path) {
   for (const auto& p : phases) {
     auto it = base.find(p.name);
     if (it == base.end()) continue;
-    if (p.delta.flush_ops > it->second.flush_ops) {
+    const auto flushes =
+        static_cast<unsigned long long>(p.delta[Counter::kFlushOps]);
+    const auto fences =
+        static_cast<unsigned long long>(p.delta[Counter::kFenceOps]);
+    if (flushes > it->second.flush_ops) {
       std::fprintf(stderr,
                    "flush_audit: REGRESSION %s flush_ops %llu > baseline "
                    "%llu\n",
-                   p.name.c_str(),
-                   static_cast<unsigned long long>(p.delta.flush_ops),
-                   it->second.flush_ops);
+                   p.name.c_str(), flushes, it->second.flush_ops);
       ok = false;
     }
-    if (p.delta.fence_ops > it->second.fence_ops) {
+    if (fences > it->second.fence_ops) {
       std::fprintf(stderr,
                    "flush_audit: REGRESSION %s fence_ops %llu > baseline "
                    "%llu\n",
-                   p.name.c_str(),
-                   static_cast<unsigned long long>(p.delta.fence_ops),
-                   it->second.fence_ops);
+                   p.name.c_str(), fences, it->second.fence_ops);
       ok = false;
     }
   }
@@ -181,6 +180,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  pmemcpy::trace::set_enabled(true);  // the traffic counters
 
   // Object store: snapshot transactions.  Two snapshots land on the same
   // cacheline so range coalescing in Transaction::commit is exercised.
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
     HashTable table = HashTable::create(pool, 1024);
     table.set_auto_grow(false);
     const std::string value(256, 'v');
-    const Report before_stage = dev.checker()->report();
+    const Row before_stage = snapshot(dev);
     std::vector<HashTable::Inserter> staged;
     staged.reserve(100);
     for (int i = 0; i < 100; ++i) {
@@ -229,21 +229,20 @@ int main(int argc, char** argv) {
       ins.close_checker_scope();
       staged.push_back(std::move(ins));
     }
-    const Report before_commit = dev.checker()->report();
+    const Row before_commit = snapshot(dev);
     std::vector<HashTable::GroupPut> puts;
     puts.reserve(staged.size());
     for (auto& ins : staged) puts.push_back({&ins, false, false});
     table.publish_group(puts);
-    const Report after = dev.checker()->report();
-    phases.push_back({"ht-batch-stage",
-                      report_delta(before_stage, before_commit)});
-    phases.push_back({"ht-batch-commit", report_delta(before_commit, after)});
-    if (phases.back().delta.fence_ops > 2) {
+    const Row after = snapshot(dev);
+    phases.push_back({"ht-batch-stage", delta(before_stage, before_commit)});
+    phases.push_back({"ht-batch-commit", delta(before_commit, after)});
+    if (phases.back().delta[Counter::kFenceOps] > 2) {
       std::fprintf(stderr,
                    "flush_audit: ht-batch-commit used %llu fences for a "
                    "100-put group commit (want <= 2)\n",
                    static_cast<unsigned long long>(
-                       phases.back().delta.fence_ops));
+                       phases.back().delta[Counter::kFenceOps]));
       return 1;
     }
   }
@@ -291,15 +290,14 @@ int main(int argc, char** argv) {
               "store_ops", "flush_ops", "lines_flushed", "fence_ops", "clean",
               "dup", "empty");
   for (const auto& p : phases) {
+    const auto n = [&p](Counter c) {
+      return static_cast<unsigned long long>(p.delta[c]);
+    };
     std::printf("%-16s %12llu %10llu %14llu %10llu %8llu %8llu %8llu\n",
-                p.name.c_str(),
-                static_cast<unsigned long long>(p.delta.store_ops),
-                static_cast<unsigned long long>(p.delta.flush_ops),
-                static_cast<unsigned long long>(p.delta.lines_flushed),
-                static_cast<unsigned long long>(p.delta.fence_ops),
-                static_cast<unsigned long long>(p.delta.clean_flushes),
-                static_cast<unsigned long long>(p.delta.duplicate_flushes),
-                static_cast<unsigned long long>(p.delta.empty_fences));
+                p.name.c_str(), n(Counter::kStoreOps), n(Counter::kFlushOps),
+                n(Counter::kLinesFlushed), n(Counter::kFenceOps),
+                n(Counter::kCleanFlushes), n(Counter::kDuplicateFlushes),
+                n(Counter::kEmptyFences));
   }
 
   if (json_path != nullptr && !write_json(json_path)) return 1;

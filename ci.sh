@@ -5,7 +5,8 @@
 # fatal so any unconsumed finding fails the suite), the tracing build
 # (PMEMCPY_TRACE, every test with the observability layer recording), and
 # the fault config (the self-healing sweeps under all three instrumentation
-# layers at once, DESIGN.md §10).
+# layers at once, DESIGN.md §10) — plus a ThreadSanitizer config over the
+# rank-threaded tests that are race-free today.
 #
 #   ./ci.sh            # all configs
 #   ./ci.sh release    # release only
@@ -13,6 +14,7 @@
 #   ./ci.sh checker    # persist-checker config only
 #   ./ci.sh trace      # tracing-enabled config only
 #   ./ci.sh fault      # fault-injection sweep config only
+#   ./ci.sh tsan       # ThreadSanitizer config only
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -115,6 +117,36 @@ run_fault_config() {
     --baseline bench/alloc_audit_baseline.json
 }
 
+# Tests that run under ThreadSanitizer.  Left out until their races are
+# fixed (ROADMAP item 3): core_property_test, hashtable_test, pmemobj_test,
+# stress_test.
+TSAN_TESTS=(par_test engine_property_test fault_matrix_test
+  persist_checker_test pmemdev_test)
+
+run_tsan_config() {
+  # No CMake option: the flags ride in the compiler and linker flags.
+  local dir="build-ci-tsan"
+  local flags="-fsanitize=thread -fno-omit-frame-pointer"
+  echo "==== [tsan] lint ===="
+  mkdir -p "${dir}"
+  LINT_JSON="${dir}/pmemlint_report.json" scripts/lint.sh
+  echo "${LOC_JSON}" > "${dir}/BENCH_loc.json"
+  echo "==== [tsan] configure ===="
+  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_C_FLAGS="${flags}" -DCMAKE_CXX_FLAGS="${flags}" \
+    -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+  echo "==== [tsan] build ===="
+  cmake --build "${dir}" -j"$(nproc)" --target "${TSAN_TESTS[@]}"
+  echo "==== [tsan] test ===="
+  # detect_deadlocks=0: publish_group and HashTable::for_each hold more than
+  # 64 mutexes at once, past the deadlock detector's limit.  Any race
+  # report makes the test exit nonzero.
+  local regex
+  regex="^($(IFS='|'; echo "${TSAN_TESTS[*]}"))\$"
+  env TSAN_OPTIONS="detect_deadlocks=0" \
+    ctest --test-dir "${dir}" --output-on-failure -j"$(nproc)" -R "${regex}"
+}
+
 what="${1:-all}"
 
 case "${what}" in
@@ -133,15 +165,19 @@ case "${what}" in
   fault)
     run_fault_config
     ;;
+  tsan)
+    run_tsan_config
+    ;;
   all)
     run_config release -DCMAKE_BUILD_TYPE=Release
     run_config sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPMEMCPY_SANITIZE=ON
     run_checker_config
     run_trace_config
     run_fault_config
+    run_tsan_config
     ;;
   *)
-    echo "usage: $0 [release|sanitize|checker|trace|fault|all]" >&2
+    echo "usage: $0 [release|sanitize|checker|trace|fault|tsan|all]" >&2
     exit 2
     ;;
 esac

@@ -1,15 +1,20 @@
-// Persistency-order checker: a shadow-state machine over device cachelines.
+// Persistency-order checker: findings and reports.
 //
-// Every cacheline moves through
+// pmem::Device owns one table of cacheline states (DESIGN.md §6):
 //
 //     clean  --store-->  dirty  --flush-->  flush-pending  --fence-->  clean
 //
-// driven by the device hooks on_store()/on_flush()/on_fence().  On top of the
-// per-line state machine sits an epoch/ordering layer fed by annotation hooks
-// (tx_begin/tx_commit/publish) called from the object store and core layers.
-// The checker is a pure observer: it never charges simulated time and never
-// mutates device contents, so enabling it cannot change behavior — only
-// report it.  (In the spirit of pmemcheck/Jaaru, applied to the emulator.)
+// When the checker is attached (Device::enable_checker), each table entry
+// also carries the checker's writer, satisfied and in-flight slots and its
+// last flush epoch, and the device hands every store, flush and fence to the
+// checker's rules before it moves the line on.  The checker itself keeps
+// only those rules, the per-thread annotation scopes and epochs fed by
+// tx_begin/tx_commit/publish (called from the object store and core
+// layers), and the findings below.  It is a pure observer: it never charges
+// simulated time and never mutates device contents, so enabling it cannot
+// change behavior — only report it.  (In the spirit of pmemcheck/Jaaru,
+// applied to the emulator.)  Traffic totals (stores, flushes, lines, fences)
+// live in the trace counters, the one counter source.
 //
 // Violation taxonomy:
 //   correctness
@@ -46,13 +51,9 @@
 // own stores to a shared metadata line is not a redundancy bug.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace pmemcpy::check {
@@ -86,11 +87,6 @@ struct Report {
   std::vector<Finding> findings;  ///< capped; see dropped_findings
   std::uint64_t dropped_findings = 0;
 
-  // Traffic counters (efficiency accounting for benches / EXPERIMENTS.md).
-  std::uint64_t store_ops = 0;
-  std::uint64_t flush_ops = 0;       ///< flush/persist calls
-  std::uint64_t lines_flushed = 0;   ///< cachelines covered by those calls
-  std::uint64_t fence_ops = 0;
   std::uint64_t scopes_committed = 0;
   std::uint64_t publishes = 0;
 
@@ -109,83 +105,6 @@ struct Report {
   [[nodiscard]] std::string to_json() const;
   /// Human-readable multi-line summary.
   [[nodiscard]] std::string to_string() const;
-};
-
-class PersistChecker {
- public:
-  PersistChecker();
-  ~PersistChecker();
-
-  PersistChecker(const PersistChecker&) = delete;
-  PersistChecker& operator=(const PersistChecker&) = delete;
-
-  // --- device hooks (called with the device lock NOT held) -----------------
-  void on_store(std::size_t off, std::size_t len);
-  void on_flush(std::size_t off, std::size_t len, std::uint64_t persist_op);
-  void on_fence(std::uint64_t persist_op);
-  /// Power loss: cached (non-durable) state is gone; reset every line to
-  /// clean and drop open scopes.  Findings and counters survive.
-  void on_crash();
-
-  // --- annotation hooks ----------------------------------------------------
-  void tx_begin(std::string_view name);
-  void tx_commit(std::uint64_t persist_op);
-  void tx_abort();
-  void on_publish(std::size_t off, std::size_t len, std::uint64_t persist_op);
-
-  // --- reporting ------------------------------------------------------------
-  [[nodiscard]] Report report() const;
-  /// Snapshot and reset findings + violation tallies (traffic counters keep
-  /// accumulating).  Used by mutation tests that plant violations on purpose.
-  Report take_report();
-  /// True iff no violations have been recorded (and not yet taken).
-  [[nodiscard]] bool clean() const;
-  /// True while any line sits flushed-but-unfenced.  The device consults
-  /// this when a faulted op unwinds mid-batch, to decide whether a settling
-  /// fence is needed before the caller's retry stores to those lines.
-  [[nodiscard]] bool has_pending_flushes() const;
-
- private:
-  struct Line {
-    enum State : std::uint8_t { kClean = 0, kDirty, kFlushPending };
-    State state = kClean;
-    std::uint64_t last_flush_epoch = 0;
-    std::uint64_t last_flush_op = 0;
-    bool store_after_flush_reported = false;
-    std::vector<std::uint32_t> writers;    ///< slots with stores since last flush
-    std::vector<std::uint32_t> satisfied;  ///< slots covered by another's flush
-    /// Slots whose stores ride in the flushed-but-unfenced writeback: set
-    /// from writers at each flush of a dirty line, emptied by the fence.
-    std::vector<std::uint32_t> in_flight;
-  };
-  struct Scope {
-    std::string name;
-    std::uint64_t epoch;
-    std::vector<std::size_t> dirtied;  ///< lines stored while innermost
-  };
-  struct ThreadState {
-    std::uint32_t slot;
-    std::vector<Scope> scopes;
-    /// Flush calls this thread issued since its last fence.  The empty-fence
-    /// lint requires BOTH this and the global pending set to be empty, so a
-    /// concurrent thread's fence consuming our flushed lines cannot make our
-    /// own (justified) fence look empty.
-    std::uint64_t flushes_since_fence = 0;
-  };
-
-  ThreadState& self_locked();
-  std::uint64_t epoch_of_locked(ThreadState& ts) const;
-  void record_locked(Violation v, std::size_t line, std::uint64_t op,
-                     const std::string& scope, std::string detail);
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::size_t, Line> lines_;
-  std::unordered_map<std::thread::id, ThreadState> threads_;
-  std::uint32_t next_slot_ = 0;
-  std::uint64_t next_epoch_ = 2;  // 1 is the initial fence epoch
-  std::uint64_t fence_epoch_ = 1;
-  std::vector<std::size_t> pending_lines_;  ///< flushed since last fence
-  Report rep_;
 };
 
 }  // namespace pmemcpy::check

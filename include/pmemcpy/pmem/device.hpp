@@ -10,10 +10,15 @@
 //     into device memory (zero copy) and charge bandwidth/fault costs
 //     explicitly, including the MAP_SYNC first-touch penalty.
 //
-// For crash-consistency testing the device can additionally keep a shadow of
-// every cacheline written since it was last persisted; simulate_crash()
-// restores those lines, emulating the loss of CPU-cache-resident stores on
-// power failure.
+// Two optional trackers share one per-cacheline table that the device owns
+// (DESIGN.md §6): each entry holds the line's state (clean, dirty,
+// flush-pending).  With crash_shadow on, an entry also holds the line's
+// pre-image and flush-time image, so simulate_crash() can drop the stores
+// still in CPU caches.  With the persistency-order checker attached
+// (enable_checker(), DESIGN.md §7), an entry also holds the checker's
+// per-line slots, and every store/flush/fence is judged against the
+// checker's rules before the line moves on.  With neither on, the byte
+// path takes no lock and does no lookup.
 //
 // On top of that sits a Jaaru-style fault plan for systematic crash-point
 // exploration: every persist()/drain() bumps a monotonic persist-op counter,
@@ -25,11 +30,6 @@
 // unwinding through destructors cannot retroactively mutate the post-crash
 // image), and throws CrashError for the harness to catch.  Injected media
 // read errors surface as a typed DeviceError from every checked read path.
-// Orthogonally to crash simulation, a persistency-order checker
-// (pmemcpy::check::PersistChecker) can be attached: it shadows every
-// store/flush/fence through a per-cacheline state machine and reports
-// ordering violations and redundant-flush lints.  See
-// include/pmemcpy/check/persist_checker.hpp and DESIGN.md §7.
 #pragma once
 
 #include <pmemcpy/ft/ft.hpp>
@@ -55,6 +55,18 @@ struct Report;
 namespace pmemcpy::pmem {
 
 inline constexpr std::size_t kCacheLine = 64;
+
+/// The cachelines [first, last) that an access of [off, off+len) covers.  A
+/// zero-length range at an unaligned offset still covers the line holding
+/// @p off: a flush charges, counts and tracks exactly these lines.
+struct LineSpan {
+  std::size_t first;
+  std::size_t last;
+};
+[[nodiscard]] inline LineSpan line_span(std::size_t off,
+                                        std::size_t len) noexcept {
+  return {off / kCacheLine, (off + len + kCacheLine - 1) / kCacheLine};
+}
 
 /// Typed device-level failure (media errors).  Callers can degrade
 /// gracefully — report the bad range — instead of consuming garbage.
@@ -129,7 +141,8 @@ class Device {
   /// @param capacity      device size in bytes (rounded up to a page)
   /// @param crash_shadow  keep pre-images of unpersisted cachelines so that
   ///                      simulate_crash() can drop in-flight stores.  Costs
-  ///                      DRAM + a hash lookup per store; enable in tests only.
+  ///                      DRAM, a lock and a table lookup per store, flush
+  ///                      and fence; enable in tests only.
   explicit Device(std::size_t capacity, bool crash_shadow = false);
   ~Device();
 
@@ -199,7 +212,7 @@ class Device {
   /// Honors the fault plan's torn-write mode: with it, only a deterministic
   /// pseudo-random subset of the unpersisted lines is reverted.
   void simulate_crash();
-  /// Number of distinct unpersisted cachelines currently tracked.
+  /// Number of cachelines holding stores a crash would revert.
   [[nodiscard]] std::size_t unpersisted_lines() const;
 
   // --- fault plan -------------------------------------------------------------
@@ -249,21 +262,21 @@ class Device {
 
   // --- persistency-order checker ---------------------------------------------
 
-  /// Attach the PersistChecker (idempotent).  Also attached at construction
-  /// when the PMEMCPY_PERSIST_CHECK env var (or the CMake default) says so.
-  /// A pure observer: charges nothing and never mutates device contents.
+  /// Attach the persistency-order checker (idempotent).  Also attached at
+  /// construction when the PMEMCPY_PERSIST_CHECK env var (or the CMake
+  /// default) says so.  A pure observer: charges nothing and never mutates
+  /// device contents.  Its view starts at attach: lines stored before it
+  /// look clean to it.
   void enable_checker();
   [[nodiscard]] bool checker_enabled() const noexcept {
     return checker_ != nullptr;
   }
-  /// The attached checker, or nullptr.  Mutation tests use take_report() on
-  /// it to consume planted violations.
-  [[nodiscard]] check::PersistChecker* checker() noexcept {
-    return checker_.get();
-  }
   /// Machine-readable snapshot of the checker state (empty Report when no
   /// checker is attached).
   [[nodiscard]] check::Report checker_report() const;
+  /// Snapshot and reset the findings and violation tallies.  Mutation tests
+  /// use it to consume planted violations.
+  check::Report take_checker_report();
 
   // Annotation hooks (no-ops when the checker is absent or the device is
   // frozen).  Library code brackets its logically-atomic operations with
@@ -277,18 +290,57 @@ class Device {
   void check_publish(std::size_t off, std::size_t len);
 
  private:
+  friend class check::PersistChecker;
+
+  /// One tracked cacheline (DESIGN.md §6).  Without the checker the table
+  /// holds exactly the lines with a pre-image; with it, every line the
+  /// checker has seen since the last crash.
+  struct Line {
+    enum State : std::uint8_t { kClean = 0, kDirty, kFlushPending };
+    struct Images {
+      std::array<std::byte, kCacheLine> pre;      ///< what a crash restores
+      std::array<std::byte, kCacheLine> flushed;  ///< what the fence persists
+      bool has_flushed = false;
+    };
+    State state = kClean;
+    /// Crash shadow only; set while the line holds stores a crash reverts.
+    std::unique_ptr<Images> img;
+    // Checker slots (DESIGN.md §7).
+    bool store_after_flush_reported = false;
+    std::uint64_t last_flush_epoch = 0;
+    std::vector<std::uint32_t> writers;    ///< stored since the last flush
+    std::vector<std::uint32_t> satisfied;  ///< covered by another's flush
+    std::vector<std::uint32_t> in_flight;  ///< ride in the unfenced CLWB
+  };
+  using LineTable = std::unordered_map<std::size_t, Line>;
+
+  /// Either tracker is on: stores, flushes and fences update the table.
+  [[nodiscard]] bool tracking() const noexcept {
+    return crash_shadow_ || checker_ != nullptr;
+  }
   void check_range(std::size_t off, std::size_t len) const;
   /// Pages of [off,len) not yet touched since the last reset; marks them.
   std::size_t claim_new_pages(std::size_t off, std::size_t len);
-  /// Revert unpersisted lines per the torn-write policy; clears the shadow.
+  /// The table entry a flush of @p line updates: created when the checker
+  /// watches every line, nullptr for a line with nothing to revert.
+  Line* flush_entry_locked(std::size_t line);
+  /// A flush of @p s: lines become flush-pending and capture their
+  /// flush-time images.
+  void flush_locked(LineSpan s, std::uint64_t op);
+  /// A fence: flush-pending lines become clean and their flush-time images
+  /// durable.
+  void fence_locked(std::uint64_t op);
+  /// The scheduled crash point @p op fired: revert, freeze, throw.
+  [[noreturn]] void crash_now(std::uint64_t op);
+  /// Revert unpersisted lines per the torn-write policy; empties the table.
   void apply_crash_locked();
-  /// Resolve flushed-but-unfenced lines at a fence: the flush-time image is
-  /// now durable, so drop (or retarget) their shadow pre-images.
-  void drain_flush_pending_locked();
-  /// A flush/persist of [off, off+len) failed for good: the writeback never
-  /// reached media, so in-flight stores to those lines are lost exactly as
-  /// on a crash.  Restore their last durable images from the shadow (no-op
-  /// without crash_shadow).
+  /// Fault point of a flush/persist of [off, off+len): on a fault the
+  /// writeback never reached media, so the lines are reverted and any
+  /// earlier unfenced flushes settled before the DeviceError propagates.
+  void writeback_faults(std::size_t off, std::size_t len);
+  /// A flush/persist of [off, off+len) failed for good: in-flight stores to
+  /// those lines are lost exactly as on a crash.  Restore their pre-images
+  /// and mark them clean (no-op without crash_shadow).
   void revert_unpersisted(std::size_t off, std::size_t len);
   /// A faulted op is unwinding mid-batch.  If earlier flushes in the batch
   /// left lines flushed-but-unfenced, issue one settling fence so the
@@ -345,15 +397,12 @@ class Device {
   mutable std::atomic<bool> sticky_any_{false};
   std::atomic<bool> bad_media_any_{false};
 
-  // Guards shadow_, touched_, bad/sticky media and the fault coins (byte
-  // traffic is counted lock-free in trace::Counter).
+  // Guards the line table and the checker, touched_, bad/sticky media and
+  // the fault coins (byte traffic is counted lock-free in trace::Counter).
   mutable std::mutex mu_;
-  std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>> shadow_;
-  /// Lines flushed (CLWB issued) but not yet fenced, with the line image
-  /// captured at flush time: on drain() that image is what became durable,
-  /// so a line re-stored between flush and fence reverts to it on crash.
-  std::unordered_map<std::size_t, std::array<std::byte, kCacheLine>>
-      flush_pending_;
+  LineTable lines_;
+  /// Lines flushed since the last fence: the fence's work list.
+  std::vector<std::size_t> pending_;
   std::unique_ptr<check::PersistChecker> checker_;
   std::vector<std::pair<std::size_t, std::size_t>> bad_media_;  // off, len
   std::vector<bool> touched_;  // one bit per 4 KiB page

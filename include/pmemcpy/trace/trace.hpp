@@ -15,9 +15,9 @@
 //
 //   * A typed counter/histogram registry: the one process-wide counter
 //     source.  One vocabulary (counter_name()) shared by the stats exporter
-//     and `flush_audit --json` — the first eight counters mirror
-//     check::Report field-for-field so totals can be cross-checked against
-//     checker_report().
+//     and `flush_audit --json`: device store/flush/fence traffic is counted
+//     only here, and a device folds its checker's lint tallies in when it
+//     is destroyed.
 //
 //   * Exporters: Chrome `trace_event` JSON (chrome://tracing, Perfetto) and
 //     a compact stats JSON.  Timestamps are integer nanoseconds derived
@@ -45,12 +45,12 @@
 
 namespace pmemcpy::trace {
 
-/// Typed counters.  The first eight mirror the traffic and lint fields of
-/// check::Report so trace totals and checker tallies are directly
-/// comparable; the rest absorb the counters that used to live as ad-hoc
-/// fields on Device, Pool and the engines.
+/// Typed counters.  The first four are the device's store/flush/fence
+/// traffic and the next four the checker's lint tallies (the lint fields
+/// of check::Report); the rest absorb the counters that used to live as
+/// ad-hoc fields on Device, Pool and the engines.
 enum class Counter : int {
-  kStoreOps = 0,            ///< device stores (checker on_store events)
+  kStoreOps = 0,            ///< device stores (Device::note_write calls)
   kFlushOps,                ///< CLWB-equivalent flush operations
   kLinesFlushed,            ///< cachelines covered by those flushes
   kFenceOps,                ///< SFENCE-equivalent drain operations

@@ -1,8 +1,10 @@
 #include <pmemcpy/pmem/device.hpp>
 
-#include <pmemcpy/check/persist_checker.hpp>
+#include "checker.hpp"
+
 #include <pmemcpy/trace/trace.hpp>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -98,7 +100,7 @@ Device::Device(std::size_t capacity, bool crash_shadow)
 
 Device::~Device() {
   if (!checker_) return;
-  const check::Report rep = checker_->report();
+  const check::Report& rep = checker_->report();
   // Lint tallies only exist as report fields (the traffic counters are
   // counted live); fold them into the trace registry, the one counter
   // source, as the checker retires.
@@ -119,27 +121,48 @@ Device::~Device() {
 }
 
 void Device::enable_checker() {
-  if (!checker_) checker_ = std::make_unique<check::PersistChecker>();
+  std::lock_guard lk(mu_);
+  if (checker_) return;
+  checker_ = std::make_unique<check::PersistChecker>();
+  // The checker has seen none of the traffic so far: to it, every line
+  // already in the table (pre-imaged by the crash shadow) is clean.
+  for (auto& [line, ln] : lines_) ln.state = Line::kClean;
 }
 
 check::Report Device::checker_report() const {
-  return checker_ ? checker_->report() : check::Report{};
+  if (!checker_) return {};
+  std::lock_guard lk(mu_);
+  return checker_->report();
+}
+
+check::Report Device::take_checker_report() {
+  if (!checker_) return {};
+  std::lock_guard lk(mu_);
+  return checker_->take_report();
 }
 
 void Device::check_tx_begin(std::string_view name) {
-  if (checker_ && !frozen()) checker_->tx_begin(name);
+  if (!checker_ || frozen()) return;
+  std::lock_guard lk(mu_);
+  checker_->tx_begin(name);
 }
 
 void Device::check_tx_commit() {
-  if (checker_ && !frozen()) checker_->tx_commit(persist_ops());
+  if (!checker_ || frozen()) return;
+  std::lock_guard lk(mu_);
+  checker_->tx_commit(lines_, persist_ops());
 }
 
 void Device::check_tx_abort() {
-  if (checker_ && !frozen()) checker_->tx_abort();
+  if (!checker_ || frozen()) return;
+  std::lock_guard lk(mu_);
+  checker_->tx_abort();
 }
 
 void Device::check_publish(std::size_t off, std::size_t len) {
-  if (checker_ && !frozen()) checker_->on_publish(off, len, persist_ops());
+  if (!checker_ || frozen() || len == 0) return;  // nothing becomes visible
+  std::lock_guard lk(mu_);
+  checker_->on_publish(lines_, line_span(off, len), persist_ops());
 }
 
 void Device::check_range(std::size_t off, std::size_t len) const {
@@ -194,108 +217,80 @@ void Device::fill(std::size_t off, std::size_t len, std::byte value) {
   trace::count(trace::Counter::kBytesWritten, len);
 }
 
+void Device::writeback_faults(std::size_t off, std::size_t len) {
+  if (!transient_armed_.load(std::memory_order_relaxed)) return;
+  try {
+    check_sticky(off, len);
+    run_retries(FaultOp::kPersist, off, len);
+  } catch (const DeviceError&) {
+    // The writeback never reached media: in-flight stores to these lines
+    // are lost, exactly as on a crash.  Revert them to their last durable
+    // image so the media state the caller recovers against matches what
+    // the hardware would actually hold, then settle any earlier unfenced
+    // flushes of the batch so the healing retry starts from a clean
+    // ordering state.
+    revert_unpersisted(off, len);
+    settle_unwind();
+    throw;
+  }
+}
+
+void Device::crash_now(std::uint64_t op) {
+  // Power fails *before* op takes effect: the lines it covers stay
+  // unpersisted and are subject to the revert policy like any other
+  // in-flight store (no fence ever ordered them to media).
+  {
+    std::lock_guard lk(mu_);
+    apply_crash_locked();
+    frozen_.store(true, std::memory_order_relaxed);
+  }
+  throw CrashError(op);
+}
+
 void Device::persist(std::size_t off, std::size_t len) {
   check_range(off, len);
   if (frozen()) return;  // powered off: nothing to make durable
-  if (transient_armed_.load(std::memory_order_relaxed)) {
-    try {
-      check_sticky(off, len);
-      run_retries(FaultOp::kPersist, off, len);
-    } catch (const DeviceError&) {
-      // The writeback never reached media: in-flight stores to these lines
-      // are lost, exactly as on a crash.  Revert them to their last durable
-      // image so the media state the caller recovers against matches what
-      // the hardware would actually hold, then settle any earlier unfenced
-      // flushes of the batch so the healing retry starts from a clean
-      // ordering state.
-      revert_unpersisted(off, len);
-      settle_unwind();
-      throw;
-    }
-  }
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  writeback_faults(off, len);
+  const LineSpan s = line_span(off, len);
   auto& c = sim::ctx();
   const auto& pm = c.model().pmem;
-  c.advance(static_cast<double>(last - first) * pm.persist_line_cost +
+  c.advance(static_cast<double>(s.last - s.first) * pm.persist_line_cost +
                 pm.drain_cost,
             sim::Charge::kPmemPersist);
   const std::uint64_t op =
       persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (op == crash_at_.load(std::memory_order_relaxed)) {
-    // The scheduled crash point: power fails *before* this persist takes
-    // effect, so the lines it covers stay unpersisted and are subject to
-    // the revert policy like any other in-flight store.
-    {
-      std::lock_guard lk(mu_);
-      apply_crash_locked();
-      frozen_.store(true, std::memory_order_relaxed);
-    }
-    throw CrashError(op);
-  }
-  if (crash_shadow_) {
-    std::lock_guard lk(mu_);
-    for (std::size_t line = first; line < last; ++line) {
-      shadow_.erase(line);
-      flush_pending_.erase(line);
-    }
+  if (op == crash_at_.load(std::memory_order_relaxed)) crash_now(op);
+  if (tracking()) {
     // The implicit fence also drains any earlier unfenced flush() calls.
-    drain_flush_pending_locked();
+    std::lock_guard lk(mu_);
+    flush_locked(s, op);
+    fence_locked(op);
   }
   trace::count(trace::Counter::kPersistOps);
   trace::count(trace::Counter::kFlushOps);
-  trace::count(trace::Counter::kLinesFlushed, last - first);
+  trace::count(trace::Counter::kLinesFlushed, s.last - s.first);
   trace::count(trace::Counter::kFenceOps);
-  if (checker_) {
-    checker_->on_flush(off, len, op);
-    checker_->on_fence(op);
-  }
 }
 
 void Device::flush(std::size_t off, std::size_t len) {
   check_range(off, len);
   if (frozen()) return;  // powered off: nothing writes back
-  if (transient_armed_.load(std::memory_order_relaxed)) {
-    try {
-      check_sticky(off, len);
-      run_retries(FaultOp::kPersist, off, len);
-    } catch (const DeviceError&) {
-      revert_unpersisted(off, len);  // the writeback never happened
-      settle_unwind();
-      throw;
-    }
-  }
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  writeback_faults(off, len);
+  const LineSpan s = line_span(off, len);
   auto& c = sim::ctx();
-  c.advance(static_cast<double>(last - first) * c.model().pmem.persist_line_cost,
+  c.advance(static_cast<double>(s.last - s.first) *
+                c.model().pmem.persist_line_cost,
             sim::Charge::kPmemPersist);
   const std::uint64_t op =
       persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (op == crash_at_.load(std::memory_order_relaxed)) {
-    // Power fails before the writeback: the flushed lines are as lost as any
-    // other in-flight store (no fence ever ordered them to media).
-    {
-      std::lock_guard lk(mu_);
-      apply_crash_locked();
-      frozen_.store(true, std::memory_order_relaxed);
-    }
-    throw CrashError(op);
-  }
-  if (crash_shadow_) {
+  if (op == crash_at_.load(std::memory_order_relaxed)) crash_now(op);
+  if (tracking()) {
     std::lock_guard lk(mu_);
-    for (std::size_t line = first; line < last; ++line) {
-      if (shadow_.count(line) == 0) continue;  // already durable
-      // Capture the line image the CLWB writes back: that image (not any
-      // later store) is what the next fence makes durable.
-      auto& img = flush_pending_[line];
-      std::memcpy(img.data(), data_.get() + line * kCacheLine, kCacheLine);
-    }
+    flush_locked(s, op);
   }
   trace::count(trace::Counter::kPersistOps);
   trace::count(trace::Counter::kFlushOps);
-  trace::count(trace::Counter::kLinesFlushed, last - first);
-  if (checker_) checker_->on_flush(off, len, op);
+  trace::count(trace::Counter::kLinesFlushed, s.last - s.first);
 }
 
 void Device::drain() {
@@ -304,30 +299,75 @@ void Device::drain() {
   c.advance(c.model().pmem.drain_cost, sim::Charge::kPmemPersist);
   const std::uint64_t op =
       persist_ops_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (op == crash_at_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard lk(mu_);
-      apply_crash_locked();
-      frozen_.store(true, std::memory_order_relaxed);
-    }
-    throw CrashError(op);
-  }
-  if (crash_shadow_) {
+  if (op == crash_at_.load(std::memory_order_relaxed)) crash_now(op);
+  if (tracking()) {
     std::lock_guard lk(mu_);
-    drain_flush_pending_locked();
+    fence_locked(op);
   }
   trace::count(trace::Counter::kPersistOps);
   trace::count(trace::Counter::kFenceOps);
-  if (checker_) checker_->on_fence(op);
+}
+
+Device::Line* Device::flush_entry_locked(std::size_t line) {
+  if (checker_) return &lines_[line];
+  const auto it = lines_.find(line);
+  return it == lines_.end() ? nullptr : &it->second;
+}
+
+void Device::flush_locked(LineSpan s, std::uint64_t op) {
+  auto* t = checker_ ? &checker_->self() : nullptr;
+  for (std::size_t line = s.first; line < s.last; ++line) {
+    Line* ln = flush_entry_locked(line);
+    if (ln == nullptr) continue;  // already durable
+    if (t != nullptr) checker_->flush(*t, line, *ln, op);
+    if (ln->state != Line::kFlushPending) pending_.push_back(line);
+    ln->state = Line::kFlushPending;
+    if (ln->img) {
+      // Capture the line image the CLWB writes back: that image (not any
+      // later store) is what the next fence makes durable.
+      std::memcpy(ln->img->flushed.data(), data_.get() + line * kCacheLine,
+                  kCacheLine);
+      ln->img->has_flushed = true;
+    }
+  }
+}
+
+void Device::fence_locked(std::uint64_t op) {
+  if (checker_) checker_->fence(checker_->self(), !pending_.empty(), op);
+  for (std::size_t line : pending_) {
+    const auto it = lines_.find(line);
+    if (it == lines_.end()) continue;
+    Line& ln = it->second;
+    // The writeback is durable now, even under a store that re-dirtied the
+    // line after its flush.
+    ln.in_flight.clear();
+    if (ln.state == Line::kFlushPending) ln.state = Line::kClean;
+    if (ln.img && ln.img->has_flushed) {
+      // The fence made the flush-time image durable.  If the line was
+      // stored to again after the flush, a crash now reverts to that image
+      // (the later store is still cache-resident); otherwise the line is
+      // simply persisted and needs no pre-image at all.
+      if (std::memcmp(data_.get() + line * kCacheLine,
+                      ln.img->flushed.data(), kCacheLine) == 0) {
+        ln.img.reset();
+      } else {
+        ln.img->pre = ln.img->flushed;
+        ln.img->has_flushed = false;
+      }
+    }
+    if (!checker_ && !ln.img) lines_.erase(it);
+  }
+  pending_.clear();
 }
 
 void Device::settle_unwind() {
+  if (!tracking()) return;
   bool pending;
   {
     std::lock_guard lk(mu_);
-    pending = !flush_pending_.empty();
+    pending = !pending_.empty();
   }
-  if (!pending && !(checker_ && checker_->has_pending_flushes())) return;
+  if (!pending) return;
   // A real sfence: earlier CLWBs in the aborted batch become durable, which
   // is exactly what hardware would eventually do anyway.  drain() performs
   // no fault injection, so this cannot recurse.
@@ -336,34 +376,26 @@ void Device::settle_unwind() {
 
 void Device::revert_unpersisted(std::size_t off, std::size_t len) {
   if (!crash_shadow_) return;
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  const LineSpan s = line_span(off, len);
   std::lock_guard lk(mu_);
-  for (std::size_t line = first; line < last; ++line) {
-    const auto it = shadow_.find(line);
-    if (it == shadow_.end()) continue;  // line already durable
-    std::memcpy(data_.get() + line * kCacheLine, it->second.data(),
+  for (std::size_t line = s.first; line < s.last; ++line) {
+    const auto it = lines_.find(line);
+    if (it == lines_.end() || !it->second.img) continue;  // already durable
+    Line& ln = it->second;
+    std::memcpy(data_.get() + line * kCacheLine, ln.img->pre.data(),
                 kCacheLine);
-    shadow_.erase(it);
-    flush_pending_.erase(line);
-  }
-}
-
-void Device::drain_flush_pending_locked() {
-  for (const auto& [line, img] : flush_pending_) {
-    // The fence made the flush-time image durable.  If the line was stored
-    // to again after the flush, a crash now reverts to that image (the
-    // later store is still cache-resident); otherwise the line is simply
-    // persisted and needs no shadow at all.
-    if (std::memcmp(data_.get() + line * kCacheLine, img.data(), kCacheLine) ==
-        0) {
-      shadow_.erase(line);
+    ln.img.reset();
+    if (checker_) {
+      // The line holds its durable image again: clean, with no stores of
+      // anyone's left to flush.  It stays on the pending list, so the
+      // settling fence still orders the batch's earlier CLWBs.
+      ln.state = Line::kClean;
+      ln.writers.clear();
     } else {
-      auto it = shadow_.find(line);
-      if (it != shadow_.end()) it->second = img;
+      lines_.erase(it);
+      std::erase(pending_, line);
     }
   }
-  flush_pending_.clear();
 }
 
 void Device::note_write(std::size_t off, std::size_t len) {
@@ -384,15 +416,17 @@ void Device::note_write(std::size_t off, std::size_t len) {
     }
   }
   trace::count(trace::Counter::kStoreOps);
-  if (checker_) checker_->on_store(off, len);
-  if (!crash_shadow_) return;
-  const std::size_t first = off / kCacheLine;
-  const std::size_t last = (off + len + kCacheLine - 1) / kCacheLine;
+  if (!tracking()) return;
+  const LineSpan s = line_span(off, len);
   std::lock_guard lk(mu_);
-  for (std::size_t line = first; line < last; ++line) {
-    auto [it, inserted] = shadow_.try_emplace(line);
-    if (inserted) {
-      std::memcpy(it->second.data(), data_.get() + line * kCacheLine,
+  auto* t = checker_ ? &checker_->self() : nullptr;
+  for (std::size_t line = s.first; line < s.last; ++line) {
+    Line& ln = lines_[line];
+    if (t != nullptr) checker_->store(*t, line, ln);
+    ln.state = Line::kDirty;
+    if (crash_shadow_ && !ln.img) {
+      ln.img = std::make_unique<Line::Images>();
+      std::memcpy(ln.img->pre.data(), data_.get() + line * kCacheLine,
                   kCacheLine);
     }
   }
@@ -454,15 +488,19 @@ bool Device::torn_reverts(std::size_t line) const noexcept {
 }
 
 void Device::apply_crash_locked() {
-  for (const auto& [line, image] : shadow_) {
+  // Flushed-but-unfenced lines were never ordered to media: they revert to
+  // their pre-images like any other unpersisted line.
+  for (const auto& [line, ln] : lines_) {
+    if (!ln.img) continue;
     if (torn_writes_ && !torn_reverts(line)) continue;  // line made it out
-    std::memcpy(data_.get() + line * kCacheLine, image.data(), kCacheLine);
+    std::memcpy(data_.get() + line * kCacheLine, ln.img->pre.data(),
+                kCacheLine);
   }
-  shadow_.clear();
-  // Flushed-but-unfenced lines were never ordered to media; their loss is
-  // already covered by the shadow revert above.
-  flush_pending_.clear();
-  if (checker_) checker_->on_crash();
+  // Caches are gone, so every line is (whatever the revert policy made it)
+  // clean on media.
+  lines_.clear();
+  pending_.clear();
+  if (checker_) checker_->crash();
   trace::on_crash();
 }
 
@@ -477,7 +515,9 @@ void Device::simulate_crash() {
 
 std::size_t Device::unpersisted_lines() const {
   std::lock_guard lk(mu_);
-  return shadow_.size();
+  return static_cast<std::size_t>(std::count_if(
+      lines_.begin(), lines_.end(),
+      [](const auto& entry) { return entry.second.img != nullptr; }));
 }
 
 void Device::set_fault_plan(const FaultPlan& plan) {
@@ -506,8 +546,13 @@ void Device::revive() {
   crash_at_.store(0, std::memory_order_relaxed);
   frozen_.store(false, std::memory_order_relaxed);
   torn_writes_ = false;
-  shadow_.clear();
-  flush_pending_.clear();
+  // Nothing in flight survives a power cycle (a crash has already emptied
+  // the table); the checker keeps its view of lines it saw.
+  if (!checker_) {
+    lines_.clear();
+    pending_.clear();
+  }
+  for (auto& [line, ln] : lines_) ln.img.reset();
 }
 
 void Device::inject_read_error(std::size_t off, std::size_t len) {
@@ -551,12 +596,11 @@ ft::RetryPolicy Device::retry_policy() const noexcept {
 
 void Device::inject_sticky_range(std::size_t off, std::size_t len) {
   check_range(off, len);
-  const std::size_t first = off / kCacheLine * kCacheLine;
-  const std::size_t last =
-      (off + len + kCacheLine - 1) / kCacheLine * kCacheLine;
+  const LineSpan s = line_span(off, len);
   {
     std::lock_guard lk(mu_);
-    sticky_bad_.emplace_back(first, last - first);
+    sticky_bad_.emplace_back(s.first * kCacheLine,
+                             (s.last - s.first) * kCacheLine);
     sticky_any_.store(true, std::memory_order_release);
   }
   trace::count(trace::Counter::kFtStickyRanges);
@@ -619,10 +663,9 @@ Device::Attempt Device::fault_attempt(
     // Escalation: the media under this op is now failing for good.  Mark
     // whole cachelines so relocation and allocator avoidance reason in the
     // same units as flushes.
-    const std::size_t first = off / kCacheLine * kCacheLine;
-    const std::size_t last =
-        (off + len + kCacheLine - 1) / kCacheLine * kCacheLine;
-    *sticky = sticky_bad_.emplace_back(first, last - first);
+    const LineSpan s = line_span(off, len);
+    *sticky = sticky_bad_.emplace_back(s.first * kCacheLine,
+                                       (s.last - s.first) * kCacheLine);
     sticky_any_.store(true, std::memory_order_release);
     return Attempt::kSticky;
   }

@@ -1,9 +1,7 @@
 // Property-style sweeps of the pMEMCPY core: random decompositions round-
 // trip for every dtype and rank count, overlapping reads assemble correctly,
 // staged/direct modes agree bit-for-bit, and the trace layer's accounting
-// invariants hold over real workloads (span nesting, charge attribution,
-// counter/checker agreement).
-#include <pmemcpy/check/persist_checker.hpp>
+// invariants hold over real workloads (span nesting, charge attribution).
 #include <pmemcpy/engine/engine.hpp>
 #include <pmemcpy/pmemcpy.hpp>
 #include <pmemcpy/trace/trace.hpp>
@@ -348,31 +346,6 @@ TEST(TraceProperty, DeviceChargedTimeMatchesSpanAttribution) {
     EXPECT_NEAR(outer->charge_sec[i], c.charged(why) - before[i], 1e-12)
         << "charge category " << i;
   }
-}
-
-TEST(TraceProperty, CounterTotalsMatchCheckerReport) {
-  ScopedTrace armed;
-  PmemNode node(node_opts());
-  node.device().enable_checker();
-  trace::reset();  // both tallies now start from the same instant
-  // Under the persist-check CI config the checker has been armed since node
-  // construction (PMEMCPY_PERSIST_CHECK=1), so its totals already include
-  // pre-reset construction traffic the trace never saw.  Snapshot it and
-  // compare deltas: in a plain build the snapshot is simply zero.
-  const auto before = node.device().checker()->report();
-  traced_workload(node);
-  const auto rep = node.device().checker()->report();
-  // The trace counters are incremented at exactly the device points that
-  // drive the persistency checker, so the two accountings must agree
-  // op-for-op.
-  EXPECT_EQ(trace::counter(trace::Counter::kStoreOps),
-            rep.store_ops - before.store_ops);
-  EXPECT_EQ(trace::counter(trace::Counter::kFlushOps),
-            rep.flush_ops - before.flush_ops);
-  EXPECT_EQ(trace::counter(trace::Counter::kLinesFlushed),
-            rep.lines_flushed - before.lines_flushed);
-  EXPECT_EQ(trace::counter(trace::Counter::kFenceOps),
-            rep.fence_ops - before.fence_ops);
 }
 
 TEST(TraceProperty, PutPathStagesNoDramBytes) {

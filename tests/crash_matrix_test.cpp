@@ -148,7 +148,7 @@ MatrixPlan counting_run() {
   EXPECT_EQ(p.load<std::vector<int>>("delta"), kDeltaData);
   p.munmap();
   // The crash-free workload must be persistency-clean end to end.
-  const auto chk = node.device().checker()->take_report();
+  const auto chk = node.device().take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
   return plan;
 }
@@ -267,7 +267,7 @@ void run_crash_point(std::uint64_t k, const MatrixPlan& plan, bool torn) {
   p2.munmap();
   // Recovery + re-read must not introduce violations (the crash itself
   // wiped the pre-crash tracking state, so this covers the post-revive ops).
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
 }
 
@@ -356,7 +356,7 @@ PoolPlan pool_counting_run() {
   plan.total_ops = dev.persist_ops();
   EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValTx);
   EXPECT_TRUE(pool.check().ok());
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
   return plan;
 }
@@ -412,7 +412,7 @@ void run_pool_crash_point(std::uint64_t k, const PoolPlan& plan, bool torn) {
   EXPECT_EQ(pool.get<std::uint64_t>(probe), 0xD00DULL);
   pool.free(probe);
   EXPECT_TRUE(pool.check().ok());
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
 }
 
@@ -502,7 +502,7 @@ PoolPlan mag_counting_run() {
   plan.total_ops = dev.persist_ops();
   EXPECT_EQ(pool.get<std::uint64_t>(plan.a_off), kValTx);
   EXPECT_TRUE(pool.check().ok());
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
   return plan;
 }
@@ -584,7 +584,7 @@ void run_mag_crash_point(std::uint64_t k, const PoolPlan& plan, bool torn) {
   pool.free(probe2);
   pool.drain_magazines();
   EXPECT_TRUE(pool.check().ok());
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
 }
 
@@ -627,7 +627,7 @@ TEST(CrashMatrixValidation, CatchesUnpersistedLaneHeaderCommitBug) {
     pool.write(off, &v99, sizeof(v99));
     tx.commit();
   }
-  ASSERT_TRUE(dev.checker()->take_report().ok())
+  ASSERT_TRUE(dev.take_checker_report().ok())
       << "correct commit sequence must be checker-clean";
   dev.simulate_crash();
   auto good = pmemcpy::obj::Pool::open(dev, 0);
@@ -647,7 +647,7 @@ TEST(CrashMatrixValidation, CatchesUnpersistedLaneHeaderCommitBug) {
   // The persistency checker flags the same bug statically, without needing
   // a crash: the lane-header line is still dirty when the scope commits.
   {
-    const auto rep = dev.checker()->take_report();
+    const auto rep = dev.take_checker_report();
     EXPECT_GE(rep.count(pmemcpy::check::Violation::kDirtyAtCommit), 1u)
         << rep.to_string();
   }

@@ -10,6 +10,7 @@
 #include <pmemcpy/engine/engine.hpp>
 #include <pmemcpy/pmem/device.hpp>
 #include <pmemcpy/pmemcpy.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
@@ -61,7 +62,7 @@ class EngineTest : public ::testing::TestWithParam<Kind> {
 
   ~EngineTest() override {
     engine_.reset();
-    const auto rep = node_->device().checker()->take_report();
+    const auto rep = node_->device().take_checker_report();
     EXPECT_TRUE(rep.ok()) << rep.to_string();
   }
 
@@ -352,13 +353,18 @@ TEST(EngineBatchFences, TableBatchCommitIsTwoFences) {
     put->sink().write(v.data(), v.size());
     put->commit(0);
   }
-  const auto before = node.device().checker()->report();
+  const bool was_tracing = pmemcpy::trace::enabled();
+  pmemcpy::trace::set_enabled(true);
+  const std::uint64_t fences0 =
+      pmemcpy::trace::counter(pmemcpy::trace::Counter::kFenceOps);
   batch->commit();
-  const auto after = node.device().checker()->report();
-  EXPECT_LE(after.fence_ops - before.fence_ops, 2u);
+  EXPECT_LE(pmemcpy::trace::counter(pmemcpy::trace::Counter::kFenceOps) -
+                fences0,
+            2u);
+  pmemcpy::trace::set_enabled(was_tracing);
 
   eng.reset();
-  const auto rep = node.device().checker()->take_report();
+  const auto rep = node.device().take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 

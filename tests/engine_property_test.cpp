@@ -307,7 +307,7 @@ TEST_P(EngineFuzz, ModelEquivalence) {
       verify_model(*eng2, model, "reopened engine");
     }
     // Zero persistency violations across the whole sequence.
-    const auto rep = node.device().checker()->take_report();
+    const auto rep = node.device().take_checker_report();
     EXPECT_TRUE(rep.ok()) << rep.to_string();
   }
 }

@@ -133,7 +133,7 @@ TransientTallies run_transient_workload(std::uint64_t seed) {
             backoff0);
 
   p.munmap();
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_TRUE(chk.ok()) << chk.to_string();
   return t;
 }
@@ -221,7 +221,7 @@ void run_sticky_plan(std::uint64_t seed) {
   p.munmap();
   // Healing must not bend persistency ordering: unwound attempts, the
   // quarantine appends and relocated publishes all stay violation-free.
-  const auto chk = dev.checker()->take_report();
+  const auto chk = dev.take_checker_report();
   EXPECT_EQ(chk.correctness_violations, 0u) << chk.to_string();
 
   // The quarantine table the run built is structurally sound.

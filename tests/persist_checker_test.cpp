@@ -5,6 +5,7 @@
 #include <pmemcpy/check/persist_checker.hpp>
 #include <pmemcpy/obj/pool.hpp>
 #include <pmemcpy/pmem/device.hpp>
+#include <pmemcpy/trace/trace.hpp>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@ using pmemcpy::obj::Transaction;
 using pmemcpy::pmem::CrashError;
 using pmemcpy::pmem::Device;
 using pmemcpy::pmem::FaultPlan;
+using pmemcpy::trace::Counter;
 
 constexpr std::size_t kDev = 1 << 20;
 
@@ -37,20 +39,25 @@ TEST_F(PersistCheckerTest, CorrectSequenceIsClean) {
   dev.persist(0, sizeof(v));
   dev.check_publish(0, sizeof(v));
   dev.check_tx_commit();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_EQ(rep.scopes_committed, 1u);
   EXPECT_EQ(rep.publishes, 1u);
 }
 
 TEST_F(PersistCheckerTest, FlushBatchUnderOneFenceIsClean) {
+  // Traffic totals come from the trace counters, the one counter source.
+  const bool was_tracing = pmemcpy::trace::enabled();
+  pmemcpy::trace::set_enabled(true);
+  const std::uint64_t fences0 = pmemcpy::trace::counter(Counter::kFenceOps);
   const std::uint64_t v = 7;
   for (std::size_t i = 0; i < 4; ++i) dev.write(i * 64, &v, sizeof(v));
   for (std::size_t i = 0; i < 4; ++i) dev.flush(i * 64, sizeof(v));
   dev.drain();
-  const auto rep = dev.checker()->take_report();
+  EXPECT_EQ(pmemcpy::trace::counter(Counter::kFenceOps) - fences0, 1u);
+  pmemcpy::trace::set_enabled(was_tracing);
+  const auto rep = dev.take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
-  EXPECT_EQ(rep.fence_ops, 1u);
 }
 
 // A line that is re-stored legitimately needs another flush: never flagged.
@@ -60,7 +67,7 @@ TEST_F(PersistCheckerTest, RedirtiedReflushIsClean) {
   dev.persist(0, sizeof(v));
   dev.write(8, &v, sizeof(v));  // same cacheline, new store
   dev.persist(8, sizeof(v));
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
@@ -71,7 +78,7 @@ TEST_F(PersistCheckerTest, FlagsDirtyAtCommit) {
   dev.check_tx_begin("test.leaky");
   dev.write(0, &v, sizeof(v));  // never persisted
   dev.check_tx_commit();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
   EXPECT_EQ(rep.correctness_violations, 1u);
   ASSERT_FALSE(rep.findings.empty());
@@ -85,7 +92,7 @@ TEST_F(PersistCheckerTest, FlagsFlushPendingAtCommit) {
   dev.write(0, &v, sizeof(v));
   dev.flush(0, sizeof(v));  // CLWB without SFENCE
   dev.check_tx_commit();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
 }
 
@@ -105,7 +112,7 @@ TEST_F(PersistCheckerTest, FlushPendingAtCommitFlagsOnlyTheCommittersStores) {
     dev.flush(8, sizeof(v));  // CLWB without SFENCE
   });
   dev.check_tx_commit();
-  auto rep = dev.checker()->take_report();
+  auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 0u) << rep.to_string();
 
   dev.check_tx_begin("test.own");
@@ -114,7 +121,7 @@ TEST_F(PersistCheckerTest, FlushPendingAtCommitFlagsOnlyTheCommittersStores) {
   dev.write(256, &v, sizeof(v));
   on_other_thread([&] { dev.flush(256, sizeof(v)); });  // B carries A's store
   dev.check_tx_commit();
-  rep = dev.checker()->take_report();
+  rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDirtyAtCommit), 2u) << rep.to_string();
   dev.drain();
 }
@@ -133,7 +140,7 @@ TEST_F(PersistCheckerTest, CrossThreadWritebackCoverageSurvivesLaterStores) {
     dev.persist(16, sizeof(v));
   }).join();
   dev.persist(8, sizeof(v));
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
@@ -141,7 +148,7 @@ TEST_F(PersistCheckerTest, FlagsUnpersistedPublish) {
   const std::uint64_t v = 1;
   dev.write(0, &v, sizeof(v));
   dev.check_publish(0, sizeof(v));  // visible before flush+fence
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kUnpersistedPublish), 1u) << rep.to_string();
   EXPECT_EQ(rep.correctness_violations, 1u);
 }
@@ -152,7 +159,7 @@ TEST_F(PersistCheckerTest, FlagsStoreAfterFlushBeforeFence) {
   dev.flush(0, sizeof(v));
   dev.write(8, &v, sizeof(v));  // races the in-flight writeback
   dev.drain();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kStoreAfterFlush), 1u) << rep.to_string();
 }
 
@@ -160,7 +167,7 @@ TEST_F(PersistCheckerTest, FlagsStoreAfterFlushBeforeFence) {
 
 TEST_F(PersistCheckerTest, FlagsCleanLineFlush) {
   dev.persist(0, 64);  // nothing was ever stored there
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kCleanFlush), 1u) << rep.to_string();
   EXPECT_EQ(rep.correctness_violations, 0u);
 }
@@ -172,7 +179,7 @@ TEST_F(PersistCheckerTest, FlagsDuplicateFlushInScope) {
   dev.persist(0, sizeof(v));
   dev.persist(0, sizeof(v));  // same scope, no store in between
   dev.check_tx_commit();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDuplicateFlush), 1u) << rep.to_string();
   ASSERT_FALSE(rep.findings.empty());
   EXPECT_EQ(rep.findings[0].scope, "test.dup");
@@ -184,31 +191,33 @@ TEST_F(PersistCheckerTest, FlagsDuplicateFlushBetweenFences) {
   dev.flush(0, sizeof(v));
   dev.flush(0, sizeof(v));  // second CLWB before the fence buys nothing
   dev.drain();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kDuplicateFlush), 1u) << rep.to_string();
 }
 
 TEST_F(PersistCheckerTest, FlagsEmptyFence) {
   dev.drain();  // nothing flushed since the last fence
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(Violation::kEmptyFence), 1u) << rep.to_string();
 }
 
 // --- report mechanics --------------------------------------------------------
 
 TEST_F(PersistCheckerTest, TakeReportResetsFindingsButKeepsTraffic) {
-  dev.drain();  // plant one empty fence
-  const auto first = dev.checker()->take_report();
+  dev.check_publish(0, 8);  // never stored: a clean publish
+  dev.drain();              // plant one empty fence
+  const auto first = dev.take_checker_report();
   EXPECT_EQ(first.count(Violation::kEmptyFence), 1u);
-  const auto second = dev.checker()->take_report();
+  const auto second = dev.take_checker_report();
   EXPECT_TRUE(second.ok()) << second.to_string();
   EXPECT_TRUE(second.findings.empty());
-  EXPECT_EQ(second.fence_ops, first.fence_ops);  // traffic accumulates
+  EXPECT_EQ(second.publishes, 1u);  // publish totals accumulate
+  EXPECT_EQ(second.publishes, first.publishes);
 }
 
 TEST_F(PersistCheckerTest, ReportJsonMentionsViolation) {
   dev.drain();
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   const auto json = rep.to_json();
   EXPECT_NE(json.find("empty-fence"), std::string::npos) << json;
   EXPECT_NE(json.find("\"efficiency_violations\":1"), std::string::npos)
@@ -239,7 +248,7 @@ TEST_F(PersistCheckerTest, FrozenDeviceSuspendsTracking) {
   // line, and nothing from the frozen window may have leaked in.
   dev.write(0, &v, sizeof(v));
   dev.persist(0, sizeof(v));
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
@@ -252,7 +261,7 @@ TEST(PersistCheckerPoolTest, CatchesSkippedLaneZeroPersistAtCommit) {
   auto pool = Pool::create(dev, 0, kPoolDev);
   const auto off = pool.alloc(8);
   pool.set<std::uint64_t>(off, 1);
-  ASSERT_TRUE(dev.checker()->take_report().ok());
+  ASSERT_TRUE(dev.take_checker_report().ok());
 
   pool.test_faults().skip_lane_zero_persist = true;
   {
@@ -262,7 +271,7 @@ TEST(PersistCheckerPoolTest, CatchesSkippedLaneZeroPersistAtCommit) {
     pool.write(off, &v, sizeof(v));
     tx.commit();
   }
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_GE(rep.count(Violation::kDirtyAtCommit), 1u) << rep.to_string();
   ASSERT_FALSE(rep.findings.empty());
   EXPECT_EQ(rep.findings[0].scope, "pool.tx");

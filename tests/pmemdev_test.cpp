@@ -257,7 +257,7 @@ TEST(FaultPlanTest, PersistOpsCountsPersistAndDrain) {
   dev.persist(0, 4);  // line already durable: redundant flush
   EXPECT_EQ(dev.persist_ops(), 3u);
   // Both inefficiencies above are deliberate; the checker must call them out.
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(pmemcpy::check::Violation::kEmptyFence), 1u)
       << rep.to_string();
   EXPECT_EQ(rep.count(pmemcpy::check::Violation::kCleanFlush), 1u)

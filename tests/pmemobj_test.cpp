@@ -656,7 +656,7 @@ TEST(PoolAllocTxTest, FreeRollbackFaultAbortsOnlyItsOwnScope) {
   expect_rollback_error([&] { p.free(off); });
   dev.check_tx_commit();
 
-  const auto rep = dev.checker()->take_report();
+  const auto rep = dev.take_checker_report();
   EXPECT_EQ(rep.count(pmemcpy::check::Violation::kDirtyAtCommit), 1u)
       << rep.to_string();
   EXPECT_TRUE(no_scope_open(dev));
@@ -672,7 +672,7 @@ TEST(PoolAllocTxTest, RollbackFaultPropagatesFromEveryAllocatorSite) {
     break_tx_and_rollback(dev, kAllocGlobalOff, 8);
     expect_rollback_error([&] { op(p); });
     EXPECT_TRUE(no_scope_open(dev));
-    (void)dev.checker()->take_report();
+    (void)dev.take_checker_report();
   };
   const auto nothing = [](Pool&) {};
   // Classic alloc: the arena-cursor store faults.

@@ -24,7 +24,7 @@ using pmemcpy::pmem::Device;
 struct CheckerGuard {
   explicit CheckerGuard(Device& dev) : dev_(&dev) { dev.enable_checker(); }
   ~CheckerGuard() {
-    const auto rep = dev_->checker()->take_report();
+    const auto rep = dev_->take_checker_report();
     EXPECT_TRUE(rep.ok()) << rep.to_string();
   }
   CheckerGuard(const CheckerGuard&) = delete;
